@@ -1,7 +1,7 @@
 """The signed odd Khovanov complex and its homology.
 
 Flattens a cube with a coherent edge-sign choice into bigraded chain
-groups, computes integer homology blockwise through Smith normal form,
+groups, computes integer homology blockwise from elementary divisors,
 and carries the chain-map calculus: composition, comparison up to sign,
 integral homotopy decision, and induced maps on homology presentations.
 """
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .cube import Cube, solve_sign_assignment
 from .linalg import (
     IntMatrix,
+    elementary_divisors,
     integer_inverse,
     integer_kernel,
-    integer_rank,
     modp_rank,
     smith_normal_form,
     solve_integer,
@@ -213,17 +213,26 @@ def _blocks(c: ChainComplex, h: int, q: int):
 def homology(c: ChainComplex) -> BigradedHomology:
     """Integer homology per bigrading.
 
-    Free rank is dim ker minus the incoming rank; torsion is read off
-    the Smith normal form of the incoming block, which is legitimate
-    because the torsion of the incoming cokernel already lies in the
-    kernel of the outgoing block.
+    Each differential is split into its quantum-degree blocks, and each
+    block's nonzero elementary divisors are computed once.  Free rank is
+    the block size minus the outgoing and incoming ranks; torsion is
+    read off the incoming divisors, which is legitimate because the
+    torsion of the incoming cokernel already lies in the kernel of the
+    outgoing block.
     """
+    divisors = {}
+    for h, d in c._diff.items():
+        qs = c.quantum_degrees(h)
+        by_q: dict[int, dict] = {}
+        for (i, j), v in d.data.items():
+            by_q.setdefault(qs[j], {})[i, j] = v
+        for q, entries in by_q.items():
+            divisors[h, q] = elementary_divisors(IntMatrix(d.rows, d.cols, entries))
     table = {}
     for h, q in c.gradings():
-        cols, incoming, outgoing = _blocks(c, h, q)
-        snf_in = smith_normal_form(incoming)
-        free = len(cols) - integer_rank(outgoing) - snf_in.rank
-        torsion = tuple(abs(d) for d in snf_in.diagonal if abs(d) > 1)
+        incoming = divisors.get((h - 1, q), ())
+        free = len(c.q_block(h, q)) - len(divisors.get((h, q), ())) - len(incoming)
+        torsion = tuple(d for d in incoming if d > 1)
         if free or torsion:
             table[h, q] = (free, torsion)
     return BigradedHomology(table)
@@ -362,8 +371,9 @@ def homotopic_up_to_sign(f: ChainMap, g: ChainMap):
     """Decide f - s*g = dH + Hd over the integers for s in {+1, -1}.
 
     Returns (s, H) with the witness H as a dict of degree -1 blocks, or
-    (None, None).  The linear system is split by quantum degree, which
-    the homotopy must respect along with the maps.
+    (None, None).  One joint integer system covers every degree: its
+    variables are the entries of H that respect the quantum shift, and
+    its equations the entries of f - s*g that do.
     """
     _comparable(f, g)
     src, dst, shift = f.src, f.dst, f.q_shift
@@ -416,7 +426,7 @@ def homotopic_up_to_sign(f: ChainMap, g: ChainMap):
                 break
         if not ok:
             continue
-        sol, _ = solve_integer(system, b)
+        sol = solve_integer(system, b)
         if sol is None:
             continue
         witness: dict[int, dict] = {}
@@ -450,7 +460,7 @@ class HomologyPresentation:
         })
         relations = {}
         for j in range(incoming.cols):
-            y, _ = solve_integer(kmat, incoming.column(j))
+            y = solve_integer(kmat, incoming.column(j))
             if y is None:
                 raise AssertionError("incoming image must land in the kernel")
             for i, v in enumerate(y):
@@ -479,7 +489,7 @@ class HomologyPresentation:
 
     def coords(self, vec: list[int]) -> list[int]:
         """Coordinates of a cycle over the retained generators."""
-        y, _ = solve_integer(self._kernel, vec)
+        y = solve_integer(self._kernel, vec)
         if y is None:
             raise ValueError("vector is not a cycle in this block")
         w = self._umat.apply(y)

@@ -1,13 +1,18 @@
 """Exact linear algebra over the integers and over GF(2).
 
 Everything downstream (differentials, homology, chain-map and homotopy
-decisions) reduces to the four operations exported here.  Matrices are
-sparse dictionaries of arbitrary-precision Python integers; there is no
-floating point anywhere in this module.
+decisions) reduces to the operations exported here.  Integer ranks,
+elementary divisors and solves share one sparse elimination that first
+cancels unit (+-1) pivots and then runs Smith normal form only on the
+block left over.  ``solve_integer`` returns one solution or None;
+kernels come from ``integer_kernel``.  Matrices are sparse dictionaries
+of arbitrary-precision Python integers; there is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 __all__ = [
@@ -17,16 +22,12 @@ __all__ = [
     "solve_integer",
     "integer_kernel",
     "integer_rank",
+    "elementary_divisors",
     "integer_inverse",
     "solve_gf2",
     "gf2_rank",
     "modp_rank",
 ]
-
-# Toggled by the test suite; when set, every smith_normal_form call
-# re-multiplies U*A*V and compares with D before returning.
-VERIFY_SNF = False
-
 
 class IntMatrix:
     """A sparse rows x cols integer matrix.
@@ -422,16 +423,95 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     D = IntMatrix(rows, cols, {(i, i): d for i, d in enumerate(diagonal) if d})
     U = IntMatrix(rows, rows, u)
     V = IntMatrix(cols, cols, v)
-    result = SnfResult(D=D, U=U, V=V, diagonal=diagonal)
-    if VERIFY_SNF:
-        if U * A * V != D:
-            raise AssertionError("SNF verification failed: U*A*V != D")
-    return result
+    return SnfResult(D=D, U=U, V=V, diagonal=diagonal)
+
+
+def _eliminate_units(A: IntMatrix, b: list[int] | None = None):
+    """Cancel the unit (+-1) pivots of A by integer row operations.
+
+    Rows are dicts, and each column keeps the set of rows that use it.
+    Pivots are picked Markowitz-style: the shortest row holding a unit
+    first, then within that row the unit whose column has the fewest
+    nonzeros, which keeps fill-in low.  A pivot row clears its column
+    from every other row; the right-hand side ``b``, when given, follows
+    the same row operations.
+
+    Returns
+    -------
+    (block, block_rows, block_cols, pivots, rhs)
+        ``block`` is the leftover Schur complement on the rows and
+        columns no pivot touched, cut down to its nonzero lines, whose
+        original indices are ``block_rows`` and ``block_cols``.
+        ``pivots`` lists ``(row, col, entries)`` in elimination order,
+        each with the row's entries as they stood when it was picked.
+        ``rhs`` is the reduced right-hand side by original row (None
+        without ``b``).  A is equivalent to diag(I_k, block) by
+        unimodular row and column operations, with k = len(pivots).
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), v in A.data.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    rhs = list(b) if b is not None else None
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
+    pivots: list[tuple[int, int, dict[int, int]]] = []
+    while heap:
+        n, r = heapq.heappop(heap)
+        row = rows.get(r)
+        # Stale entry; a changed row was pushed again with its new length.
+        if row is None or len(row) != n:
+            continue
+        units = [c for c, v in row.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        c = min(units, key=lambda k: len(cols[k]))
+        p = row[c]
+        del rows[r]
+        for k in row:
+            cols[k].discard(r)
+        for r2 in cols.pop(c):
+            other = rows[r2]
+            m = other.pop(c) * p
+            for k, v in row.items():
+                if k == c:
+                    continue
+                w = other.get(k, 0) - m * v
+                if w:
+                    if k not in other:
+                        cols[k].add(r2)
+                    other[k] = w
+                else:
+                    del other[k]
+                    cols[k].discard(r2)
+            if rhs is not None:
+                rhs[r2] -= m * rhs[r]
+            if other:
+                heapq.heappush(heap, (len(other), r2))
+        pivots.append((r, c, row))
+    block_rows = sorted(r for r, row in rows.items() if row)
+    block_cols = sorted(c for c, rs in cols.items() if rs)
+    cpos = {c: j for j, c in enumerate(block_cols)}
+    entries = {(i, cpos[c]): v for i, r in enumerate(block_rows) for c, v in rows[r].items()}
+    block = IntMatrix(len(block_rows), len(block_cols), entries)
+    return block, block_rows, block_cols, pivots, rhs
+
+
+def elementary_divisors(A: IntMatrix) -> tuple[int, ...]:
+    """The nonzero elementary divisors of A, as a divisibility chain.
+
+    One 1 for each unit pivot, followed by the nonzero Smith normal form
+    diagonal of the block left over after unit elimination.
+    """
+    block, _, _, pivots, _ = _eliminate_units(A)
+    tail = smith_normal_form(block).diagonal if block.data else ()
+    return (1,) * len(pivots) + tuple(d for d in tail if d)
 
 
 def integer_rank(A: IntMatrix) -> int:
     """Rank of A over the rationals (equal to the rank over Z)."""
-    return smith_normal_form(A).rank
+    return len(elementary_divisors(A))
 
 
 def integer_inverse(A: IntMatrix) -> IntMatrix:
@@ -445,10 +525,9 @@ def integer_inverse(A: IntMatrix) -> IntMatrix:
     return snf.V * snf.U
 
 
-def integer_kernel(A: IntMatrix, snf: SnfResult | None = None) -> list[list[int]]:
+def integer_kernel(A: IntMatrix) -> list[list[int]]:
     """A basis of the integer kernel of A, as dense column vectors."""
-    if snf is None:
-        snf = smith_normal_form(A)
+    snf = smith_normal_form(A)
     basis = []
     for j in range(A.cols):
         d = snf.diagonal[j] if j < len(snf.diagonal) else 0
@@ -457,35 +536,49 @@ def integer_kernel(A: IntMatrix, snf: SnfResult | None = None) -> list[list[int]
     return basis
 
 
-def solve_integer(A: IntMatrix, b: list[int]) -> tuple[list[int] | None, list[list[int]]]:
+def solve_integer(A: IntMatrix, b: list[int]) -> list[int] | None:
     """Solve A x = b over the integers.
+
+    Unit pivots are eliminated first with ``b`` carried along; Smith
+    normal form runs only on the leftover block, and the pivot rows are
+    then back-substituted.
 
     Returns
     -------
-    (solution, kernel_basis)
-        ``solution`` is one integer solution or None when the system has
-        no integral solution; ``kernel_basis`` is a basis of the integer
-        kernel of A (returned in both cases).
+    list[int] | None
+        One integer solution, or None when the system has no integral
+        solution.  Use ``integer_kernel`` for the kernel.
     """
     if len(b) != A.rows:
         raise ValueError("right-hand side length mismatch")
-    snf = smith_normal_form(A)
-    kernel = integer_kernel(A, snf)
-    ub = snf.U.apply(b)
-    y = [0] * A.cols
-    n = min(A.rows, A.cols)
-    for i in range(A.rows):
-        d = snf.diagonal[i] if i < n else 0
-        rhs = ub[i]
-        if d == 0:
-            if rhs != 0:
-                return None, kernel
-        else:
-            if rhs % d != 0:
-                return None, kernel
-            y[i] = rhs // d
-    x = snf.V.apply(y)
-    return x, kernel
+    block, block_rows, block_cols, pivots, rhs = _eliminate_units(A, b)
+    used = set(block_rows).union(r for r, _, _ in pivots)
+    if any(rhs[r] for r in range(A.rows) if r not in used):
+        return None
+    x = [0] * A.cols
+    if block.data:
+        snf = smith_normal_form(block)
+        ub = snf.U.apply([rhs[r] for r in block_rows])
+        y = [0] * block.cols
+        for i, u in enumerate(ub):
+            d = snf.diagonal[i] if i < len(snf.diagonal) else 0
+            if d == 0:
+                if u:
+                    return None
+            elif u % d:
+                return None
+            else:
+                y[i] = u // d
+        for c, v in zip(block_cols, snf.V.apply(y)):
+            x[c] = v
+    for r, c, row in reversed(pivots):
+        s = rhs[r]
+        for k, v in row.items():
+            if k != c:
+                s -= v * x[k]
+        # The pivot is +-1, so dividing by it is multiplying by it.
+        x[c] = s * row[c]
+    return x
 
 
 def solve_gf2(rows: list[int], b: list[int], ncols: int) -> tuple[int | None, list[int]]:

@@ -209,6 +209,7 @@ def run_functoriality(max_crossings: int = 12) -> list[Check]:
     for sign in (1, -1):
         for side in ("right", "left"):
             def r1_variant(sign=sign, side=side):
+                replayed = []
                 for hostname, host in r1_hosts:
                     cx = _cx(host)
                     do = r1_cobordism_map(cx, min(host.arcs), sign, "do", side)
@@ -217,8 +218,11 @@ def run_functoriality(max_crossings: int = 12) -> list[Check]:
                         return False, f"not a chain map on {hostname}"
                     if compose(undo, do) != identity_chain_map(cx):
                         return False, f"undo after do is not the identity on {hostname}"
-                ok, detail = _witnessed_identity(compose(do, undo), "do after undo")
-                return ok, f"{len(r1_hosts)} hosts; {detail}"
+                    ok, detail = _witnessed_identity(compose(do, undo), f"do after undo on {hostname}")
+                    if not ok:
+                        return False, detail
+                    replayed.append(detail)
+                return True, "; ".join(replayed)
             _run(checks, f"r1_sign{sign:+d}_{side}", r1_variant)
 
     r2_variants = {
@@ -227,6 +231,7 @@ def run_functoriality(max_crossings: int = 12) -> list[Check]:
     }
     for variant, hosts in r2_variants.items():
         def r2_variant(hosts=hosts):
+            replayed = []
             for hostname, host, arcs in hosts:
                 cx = _cx(host)
                 do = r2_cobordism_map(cx, arcs, "do")
@@ -236,8 +241,11 @@ def run_functoriality(max_crossings: int = 12) -> list[Check]:
                     return False, f"not a chain map on {hostname}"
                 if compose(undo, do) != identity_chain_map(cx):
                     return False, f"undo after do is not the identity on {hostname}"
-            ok, detail = _witnessed_identity(compose(do, undo), "do after undo")
-            return ok, f"{len(hosts)} hosts; {detail}"
+                ok, detail = _witnessed_identity(compose(do, undo), f"do after undo on {hostname}")
+                if not ok:
+                    return False, detail
+                replayed.append(detail)
+            return True, "; ".join(replayed)
         _run(checks, f"r2_{variant}", r2_variant)
 
     def mm11(host):

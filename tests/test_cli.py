@@ -1,0 +1,44 @@
+"""The command line exit contract: 0 success, 1 bad input, 2 failed check."""
+
+import json
+import re
+
+import pytest
+
+from oddkh.cli import main
+from oddkh.complexes import assemble_complex, homology
+from oddkh.cube import build_cube
+from oddkh.fixtures import rational_knot
+from oddkh.linkdiag import diagram_to_dict
+
+
+def test_homology_json_on_nine_crossings(tmp_path, capsys):
+    diagram = rational_knot((3, 1, 1, 4))
+    assert len(diagram.crossings) == 9
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(diagram_to_dict(diagram)))
+    assert main(["homology", str(path), "--json"]) == 0
+    expected = homology(assemble_complex(build_cube(diagram, "y"))).to_rows()
+    assert json.loads(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[[1, 2, 3]]", "[[1, 2, 3, 4]]", '{"pd": [], "colour": 1}', "not json"],
+    ids=["three-slot-crossing", "unpaired-arcs", "unknown-key", "invalid-json"],
+)
+def test_homology_rejects_malformed_codes(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["homology", str(path)]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_homology_rejects_unreadable_file(tmp_path, capsys):
+    assert main(["homology", str(tmp_path / "missing.json")]) == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_verify_functoriality_passes(capsys):
+    assert main(["verify", "functoriality"]) == 0
+    assert re.search(r"# functoriality: (\d+)/\1 passed", capsys.readouterr().out)

@@ -219,3 +219,17 @@ def test_random_rational_links_have_forced_mod2_dimension(twists):
     d = rational_knot(twists)
     total = sum(even_khovanov_mod2(d).values())
     assert total == 2 * cf_numerator(twists)
+
+
+@pytest.mark.parametrize(
+    "twists,theory",
+    [((3, 1, 1, 4), "y"), ((2, 3, 4), "x"), ((2, 2, 2, 2), "y"), ((4, 1, 3), "x"), ((6, 2), "y")],
+)
+def test_two_bridge_integer_homology_is_free_and_thin(twists, theory):
+    # Ozsvath-Rasmussen-Szabo: quasi-alternating links have free, thin odd
+    # Khovanov homology, two copies of a reduced group of rank det.
+    table = homology(assemble_complex(build_cube(rational_knot(twists), theory))).table
+    assert all(not torsion for _, torsion in table.values())
+    deltas = sorted({q - 2 * h for (h, q) in table})
+    assert len(deltas) == 2 and deltas[1] - deltas[0] == 2
+    assert sum(rank for rank, _ in table.values()) == 2 * cf_numerator(twists)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from oddkh.linalg import (
     IntMatrix,
+    _eliminate_units,
+    elementary_divisors,
     gf2_rank,
     integer_kernel,
     integer_rank,
@@ -111,27 +113,28 @@ def test_integer_rank_matches_mod_p_generically():
 
 def test_solve_integer_solvable():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    x, kernel = solve_integer(a, [4, -9])
+    x = solve_integer(a, [4, -9])
     assert x is not None
     assert a.apply(x) == [4, -9]
-    assert kernel == []
+    assert integer_kernel(a) == []
 
 
 def test_solve_integer_unsolvable():
     a = IntMatrix.from_rows([[2]])
-    x, kernel = solve_integer(a, [3])
+    x = solve_integer(a, [3])
     assert x is None
-    assert kernel == []
+    assert integer_kernel(a) == []
     # Inconsistent overdetermined system.
     a = IntMatrix.from_rows([[1], [1]])
-    x, _ = solve_integer(a, [0, 1])
+    x = solve_integer(a, [0, 1])
     assert x is None
 
 
 def test_solve_integer_kernel():
     a = IntMatrix.from_rows([[1, 1, 1]])
-    x, kernel = solve_integer(a, [5])
+    x = solve_integer(a, [5])
     assert x is not None and sum(x) == 5
+    kernel = integer_kernel(a)
     assert len(kernel) == 2
     for k in kernel:
         assert a.apply(k) == [0]
@@ -161,11 +164,79 @@ def test_solve_integer_roundtrip(rows, cols, data):
     a = IntMatrix(rows, cols, entries)
     xs = [data.draw(st.integers(-4, 4)) for _ in range(cols)]
     b = a.apply(xs)
-    x, kernel = solve_integer(a, b)
+    x = solve_integer(a, b)
     assert x is not None
     assert a.apply(x) == b
-    for k in kernel:
+    for k in integer_kernel(a):
         assert a.apply(k) == [0] * rows
+
+
+def snf_solvable(a, b):
+    """Whether A x = b has an integer solution, read off U*A*V = D."""
+    res = smith_normal_form(a)
+    for i, u in enumerate(res.U.apply(b)):
+        d = res.diagonal[i] if i < len(res.diagonal) else 0
+        if (u % d if d else u) != 0:
+            return False
+    return True
+
+
+def test_solve_integer_with_leftover_block():
+    # No unit entries at all: the whole matrix is the leftover block.
+    a = IntMatrix.from_rows([[2, 4], [6, 8]])
+    block, _, _, pivots, _ = _eliminate_units(a)
+    assert pivots == [] and block == a
+    x = solve_integer(a, [6, 14])
+    assert x is not None and a.apply(x) == [6, 14]
+    assert solve_integer(a, [1, 0]) is None
+    assert solve_integer(a, [2, 6]) is not None
+    assert solve_integer(a, [2, 4]) is None  # only rational: (0, 1/2)
+    # One unit pivot, then a 2x2 leftover block with invariant factors 2, 4.
+    a = IntMatrix.from_rows([[1, 1, 0], [1, 3, 4], [0, 6, 8]])
+    block, _, _, pivots, _ = _eliminate_units(a)
+    assert len(pivots) == 1 and block.rows == 2 and block.cols == 2
+    assert elementary_divisors(a) == (1, 2, 4)
+    for b in ([1, 2, 0], [0, 0, 1], [3, 5, 8], [0, 1, 0]):
+        x = solve_integer(a, b)
+        assert (x is not None) == snf_solvable(a, b)
+        if x is not None:
+            assert a.apply(x) == b
+
+
+def test_elementary_divisors_match_snf():
+    rng = random.Random(4411)
+    for _ in range(200):
+        a = _random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7), lo=-3, hi=3, density=0.5)
+        expected = tuple(d for d in smith_normal_form(a).diagonal if d)
+        assert elementary_divisors(a) == expected
+        assert integer_rank(a) == len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from([(-1, 1), (-2, 2), (-6, 6)]),
+    st.booleans(),
+    st.data(),
+)
+def test_solve_integer_agrees_with_snf(rows, cols, entry_range, solvable, data):
+    lo, hi = entry_range
+    entries = {}
+    for r in range(rows):
+        for c in range(cols):
+            v = data.draw(st.integers(lo, hi))
+            if v:
+                entries[(r, c)] = v
+    a = IntMatrix(rows, cols, entries)
+    if solvable:
+        b = a.apply([data.draw(st.integers(-4, 4)) for _ in range(cols)])
+    else:
+        b = [data.draw(st.integers(-5, 5)) for _ in range(rows)]
+    x = solve_integer(a, b)
+    assert (x is not None) == snf_solvable(a, b)
+    if x is not None:
+        assert a.apply(x) == b
 
 
 def test_solve_gf2_basic():
