@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cube import Cube, solve_sign_assignment
-from .linalg import (
-    IntMatrix,
-    elementary_divisors,
-    integer_inverse,
-    integer_kernel,
-    modp_rank,
-    smith_normal_form,
-    solve_integer,
-)
+from .linalg import IntMatrix, elementary_divisors, integer_cokernel, integer_kernel, solve_integer
 
 __all__ = [
     "ChainComplex",
@@ -38,6 +30,7 @@ __all__ = [
     "compose",
     "equal_up_to_sign",
     "homotopic_up_to_sign",
+    "replay_homotopy",
     "induced_map_on_homology",
 ]
 
@@ -191,9 +184,6 @@ class BigradedHomology:
     def group(self, h: int, q: int) -> tuple:
         return self.table.get((h, q), (0, ()))
 
-    def total_rank(self) -> int:
-        return sum(r for r, _ in self.table.values())
-
     def to_rows(self) -> list[dict]:
         return [
             {"h": h, "q": q, "rank": r, "torsion": list(t)}
@@ -201,13 +191,17 @@ class BigradedHomology:
         ]
 
 
-def _blocks(c: ChainComplex, h: int, q: int):
-    cols = c.q_block(h, q)
-    prev = c.q_block(h - 1, q)
-    nxt = c.q_block(h + 1, q)
-    incoming = c.differential(h - 1).submatrix(cols, prev)
-    outgoing = c.differential(h).submatrix(nxt, cols)
-    return cols, incoming, outgoing
+def _divisor_table(c: ChainComplex) -> dict:
+    """The nonzero elementary divisors of each (h, q) block of d_h."""
+    divisors = {}
+    for h, d in c._diff.items():
+        qs = c.quantum_degrees(h)
+        by_q: dict[int, dict] = {}
+        for (i, j), v in d.data.items():
+            by_q.setdefault(qs[j], {})[i, j] = v
+        for q, entries in by_q.items():
+            divisors[h, q] = elementary_divisors(IntMatrix(d.rows, d.cols, entries))
+    return divisors
 
 
 def homology(c: ChainComplex) -> BigradedHomology:
@@ -220,14 +214,7 @@ def homology(c: ChainComplex) -> BigradedHomology:
     torsion of the incoming cokernel already lies in the kernel of the
     outgoing block.
     """
-    divisors = {}
-    for h, d in c._diff.items():
-        qs = c.quantum_degrees(h)
-        by_q: dict[int, dict] = {}
-        for (i, j), v in d.data.items():
-            by_q.setdefault(qs[j], {})[i, j] = v
-        for q, entries in by_q.items():
-            divisors[h, q] = elementary_divisors(IntMatrix(d.rows, d.cols, entries))
+    divisors = _divisor_table(c)
     table = {}
     for h, q in c.gradings():
         incoming = divisors.get((h - 1, q), ())
@@ -239,13 +226,18 @@ def homology(c: ChainComplex) -> BigradedHomology:
 
 
 def reduce_coefficients(c: ChainComplex, p: int) -> dict:
-    """Dimensions of mod-p homology per (h, q)."""
+    """Dimensions of mod-p homology per (h, q).
+
+    Read off the divisor table of ``homology``: a block's rank over
+    GF(p) is the number of its elementary divisors prime to p.
+    """
     if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
         raise ValueError("p must be prime")
+    divisors = _divisor_table(c)
     out = {}
     for h, q in c.gradings():
-        cols, incoming, outgoing = _blocks(c, h, q)
-        dim = len(cols) - modp_rank(outgoing, p) - modp_rank(incoming, p)
+        ranks = sum(1 for key in ((h, q), (h - 1, q)) for d in divisors.get(key, ()) if d % p)
+        dim = len(c.q_block(h, q)) - ranks
         if dim:
             out[h, q] = dim
     return out
@@ -413,19 +405,11 @@ def homotopic_up_to_sign(f: ChainMap, g: ChainMap):
     system = IntMatrix(len(rows_of), len(var_index), entries)
     for s in (1, -1):
         b = [0] * len(rows_of)
-        ok = True
+        # ChainMap checks every entry against the quantum shift, so each
+        # entry of f - s*g has an equation.
         for h in set(f.blocks) | set(g.blocks):
-            delta = f.block(h) - g.block(h).scale(s)
-            for (i, j), v in delta.data.items():
-                row = rows_of.get((h, i, j))
-                if row is None:
-                    ok = False
-                    break
-                b[row] = v
-            if not ok:
-                break
-        if not ok:
-            continue
+            for (i, j), v in (f.block(h) - g.block(h).scale(s)).data.items():
+                b[rows_of[h, i, j]] = v
         sol = solve_integer(system, b)
         if sol is None:
             continue
@@ -441,65 +425,64 @@ def homotopic_up_to_sign(f: ChainMap, g: ChainMap):
     return None, None
 
 
+def replay_homotopy(f: ChainMap, g: ChainMap, s: int, H: dict) -> int | None:
+    """Recheck a witness of f - s*g = dH + Hd, degree by degree.
+
+    Every degree of the source complex and of the blocks of f, g and H
+    is checked, with missing blocks read as zero.  Returns the first
+    degree where the identity fails, or None when the witness replays.
+    """
+    _comparable(f, g)
+    degrees = set(f.src.degrees()) | set(f.blocks) | set(g.blocks) | set(H) | {h - 1 for h in H}
+    for h in sorted(degrees):
+        lhs = f.block(h) - g.block(h).scale(s)
+        rhs = IntMatrix.zero(lhs.rows, lhs.cols)
+        if h in H:
+            rhs = rhs + f.dst.differential(h - 1) * H[h]
+        if h + 1 in H:
+            rhs = rhs + H[h + 1] * f.src.differential(h)
+        if lhs != rhs:
+            return h
+    return None
+
+
 class HomologyPresentation:
     """One (h, q) homology group with explicit cycle generators.
 
     `orders` holds the invariant factor for each torsion generator and
     0 for each free one; generators are dense vectors in the q-block's
-    coordinates.
+    coordinates.  The cycles have a Z-basis K with left inverse L, and
+    homology is the cokernel of the relations L*incoming over K.
     """
 
-    __slots__ = ("orders", "_kernel", "_umat", "_gens", "_keep")
+    __slots__ = ("orders", "_outgoing", "_coords", "_gens")
 
     def __init__(self, incoming: IntMatrix, outgoing: IntMatrix):
-        dim = outgoing.cols
-        kernel = integer_kernel(outgoing)
-        k = len(kernel)
-        kmat = IntMatrix(dim, k, {
-            (i, j): kernel[j][i] for j in range(k) for i in range(dim) if kernel[j][i]
-        })
-        relations = {}
-        for j in range(incoming.cols):
-            y = solve_integer(kmat, incoming.column(j))
-            if y is None:
-                raise AssertionError("incoming image must land in the kernel")
-            for i, v in enumerate(y):
-                if v:
-                    relations[i, j] = v
-        snf = smith_normal_form(IntMatrix(k, incoming.cols, relations))
-        full = [snf.diagonal[i] if i < len(snf.diagonal) else 0 for i in range(k)]
-        uinv = integer_inverse(snf.U)
-        keep = [i for i in range(k) if abs(full[i]) != 1]
-        self.orders = tuple(abs(full[i]) for i in keep)
-        self._kernel = kmat
-        self._umat = snf.U
-        self._gens = [kmat.apply(uinv.column(i)) for i in keep]
-        self._keep = keep
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.orders if d == 0)
-
-    @property
-    def torsion(self) -> tuple:
-        return tuple(d for d in self.orders if d)
+        if not (outgoing * incoming).is_zero():
+            raise AssertionError("incoming image must land in the kernel")
+        kernel, left = integer_kernel(outgoing)
+        orders, coords, gens = integer_cokernel(left * incoming)
+        self.orders = orders
+        self._outgoing = outgoing
+        self._coords = coords * left
+        self._gens = kernel * gens
 
     def generator(self, i: int) -> list[int]:
-        return list(self._gens[i])
+        return self._gens.column(i)
 
     def coords(self, vec: list[int]) -> list[int]:
-        """Coordinates of a cycle over the retained generators."""
-        y = solve_integer(self._kernel, vec)
-        if y is None:
+        """Coordinates of a cycle over the generators."""
+        if any(self._outgoing.apply(vec)):
             raise ValueError("vector is not a cycle in this block")
-        w = self._umat.apply(y)
-        return [w[p] % d if d else w[p] for p, d in zip(self._keep, self.orders)]
+        return [w % d if d else w for w, d in zip(self._coords.apply(vec), self.orders)]
 
 
 def homology_presentation(c: ChainComplex, h: int, q: int) -> HomologyPresentation:
     pres = c._pres.get((h, q))
     if pres is None:
-        _, incoming, outgoing = _blocks(c, h, q)
+        cols = c.q_block(h, q)
+        incoming = c.differential(h - 1).submatrix(cols, c.q_block(h - 1, q))
+        outgoing = c.differential(h).submatrix(c.q_block(h + 1, q), cols)
         pres = HomologyPresentation(incoming, outgoing)
         c._pres[h, q] = pres
     return pres

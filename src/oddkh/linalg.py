@@ -1,13 +1,14 @@
 """Exact linear algebra over the integers and over GF(2).
 
 Everything downstream (differentials, homology, chain-map and homotopy
-decisions) reduces to the operations exported here.  Integer ranks,
-elementary divisors and solves share one sparse elimination that first
-cancels unit (+-1) pivots and then runs Smith normal form only on the
-block left over.  ``solve_integer`` returns one solution or None;
-kernels come from ``integer_kernel``.  Matrices are sparse dictionaries
-of arbitrary-precision Python integers; there is no floating point
-anywhere in this module.
+decisions) reduces to the operations exported here.  Every integer
+computation (elementary divisors and the integer and mod-p ranks read
+off them, solves, kernels, cokernels) runs one sparse elimination that
+cancels unit (+-1) pivots, then Smith normal form on the block left
+over; U, V and V^-1 are built for that block only.  The GF(2)
+solver on bitmask rows serves the cube's sign equations.  Matrices are
+sparse dictionaries of arbitrary-precision Python integers; there is
+no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "smith_normal_form",
     "solve_integer",
     "integer_kernel",
+    "integer_cokernel",
     "integer_rank",
     "elementary_divisors",
     "integer_inverse",
@@ -525,15 +527,87 @@ def integer_inverse(A: IntMatrix) -> IntMatrix:
     return snf.V * snf.U
 
 
-def integer_kernel(A: IntMatrix) -> list[list[int]]:
-    """A basis of the integer kernel of A, as dense column vectors."""
-    snf = smith_normal_form(A)
-    basis = []
-    for j in range(A.cols):
-        d = snf.diagonal[j] if j < len(snf.diagonal) else 0
-        if d == 0:
-            basis.append(snf.V.column(j))
-    return basis
+def _back_substitute(pivots, x: dict[int, dict[int, int]], rhs: list[int] | None = None) -> None:
+    """Set the pivot coordinates of several vectors so that every pivot row holds.
+
+    ``x`` maps a column to {vector: coordinate}, sparse in both.  Pivots
+    are taken in reverse elimination order, so each pivot row reads only
+    coordinates that are already final.  With ``rhs`` there is a single
+    vector, keyed 0; without it the pivot rows are homogeneous.
+    """
+    for r, c, row in reversed(pivots):
+        acc = {0: rhs[r]} if rhs is not None else {}
+        for k, v in row.items():
+            if k != c and k in x:
+                for j, w in x[k].items():
+                    acc[j] = acc.get(j, 0) - v * w
+        # The pivot is +-1, so dividing by it is multiplying by it.
+        p = row[c]
+        xc = {j: w * p for j, w in acc.items() if w}
+        if xc:
+            x[c] = xc
+
+
+def _split(A: IntMatrix):
+    """Split Z^cols along the unit elimination of A.
+
+    Returns (orders, X, Y) with X cols x n, Y n x cols and Y*X = I.  A
+    column with no pivot and no leftover entry seeds a direction of
+    order 0, read by Y directly; so does column i of the leftover
+    block's Smith V when d_i != 1 (order d_i, 0 past the rank), read by
+    row i of V^-1.  X holds the seeds with their pivot coordinates
+    back-substituted.  Its order-0 columns are a Z-basis of ker A.  With
+    the rows of A read as relations, the rows of Y generate the quotient
+    of Z^cols and the columns of X are its coordinate functionals.
+    """
+    block, _, block_cols, pivots, _ = _eliminate_units(A)
+    used = set(block_cols).union(c for _, c, _ in pivots)
+    dirs = [(0, [(c, 1)], [(c, 1)]) for c in range(A.cols) if c not in used]
+    if block.data:
+        snf = smith_normal_form(block)
+        vinv_t = integer_inverse(snf.V).transpose()
+        for j in range(block.cols):
+            d = snf.diagonal[j] if j < len(snf.diagonal) else 0
+            if d != 1:
+                dirs.append((d, zip(block_cols, snf.V.column(j)), zip(block_cols, vinv_t.column(j))))
+    x: dict[int, dict[int, int]] = {}
+    y_entries = {}
+    for j, (_, seed, reader) in enumerate(dirs):
+        for c, v in seed:
+            if v:
+                x.setdefault(c, {})[j] = v
+        y_entries.update(((j, c), v) for c, v in reader)
+    _back_substitute(pivots, x)
+    x_entries = {(i, j): v for i, xs in x.items() for j, v in xs.items()}
+    n = len(dirs)
+    return [d for d, _, _ in dirs], IntMatrix(A.cols, n, x_entries), IntMatrix(n, A.cols, y_entries)
+
+
+def integer_kernel(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """A Z-basis K of the kernel of A, and an integer left inverse L of K.
+
+    K is A.cols x k with A*K = 0 and L is k x A.cols with L*K = I, so L*x
+    is the coordinate vector over K of any kernel vector x.  SNF runs
+    only on the block left over after unit elimination (see ``_split``).
+    """
+    orders, X, Y = _split(A)
+    keep = [i for i, d in enumerate(orders) if d == 0]
+    every = list(range(A.cols))
+    return X.submatrix(every, keep), Y.submatrix(keep, every)
+
+
+def integer_cokernel(A: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """Z^rows / (image of A) as a sum of cyclic groups.
+
+    Returns (orders, C, G): ``orders`` lists each summand's order (0 for
+    a free one, never 1), the columns of G (rows x n) are generators,
+    and C (n x rows) maps a vector to its coordinates, with C*G = I.
+    Coordinate i is defined modulo ``orders[i]``, and C*A vanishes
+    modulo the orders.  The columns of A are the relations; they are
+    eliminated as the rows of the transpose (see ``_split``).
+    """
+    orders, X, Y = _split(A.transpose())
+    return tuple(orders), X.transpose(), Y.transpose()
 
 
 def solve_integer(A: IntMatrix, b: list[int]) -> list[int] | None:
@@ -555,7 +629,7 @@ def solve_integer(A: IntMatrix, b: list[int]) -> list[int] | None:
     used = set(block_rows).union(r for r, _, _ in pivots)
     if any(rhs[r] for r in range(A.rows) if r not in used):
         return None
-    x = [0] * A.cols
+    x: dict[int, dict[int, int]] = {}
     if block.data:
         snf = smith_normal_form(block)
         ub = snf.U.apply([rhs[r] for r in block_rows])
@@ -569,16 +643,9 @@ def solve_integer(A: IntMatrix, b: list[int]) -> list[int] | None:
                 return None
             else:
                 y[i] = u // d
-        for c, v in zip(block_cols, snf.V.apply(y)):
-            x[c] = v
-    for r, c, row in reversed(pivots):
-        s = rhs[r]
-        for k, v in row.items():
-            if k != c:
-                s -= v * x[k]
-        # The pivot is +-1, so dividing by it is multiplying by it.
-        x[c] = s * row[c]
-    return x
+        x = {c: {0: v} for c, v in zip(block_cols, snf.V.apply(y)) if v}
+    _back_substitute(pivots, x, rhs)
+    return [x[c][0] if c in x else 0 for c in range(A.cols)]
 
 
 def solve_gf2(rows: list[int], b: list[int], ncols: int) -> tuple[int | None, list[int]]:
@@ -669,35 +736,5 @@ def gf2_rank(rows: list[int]) -> int:
 
 
 def modp_rank(A: IntMatrix, p: int) -> int:
-    """Rank of A over the prime field GF(p)."""
-    if p == 2:
-        rows_mask: dict[int, int] = {}
-        for (r, c), v in A.data.items():
-            if v & 1:
-                rows_mask[r] = rows_mask.get(r, 0) ^ (1 << c)
-        return gf2_rank(list(rows_mask.values()))
-    rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in A.data.items():
-        w = v % p
-        if w:
-            rows.setdefault(r, {})[c] = w
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in rows.values():
-        row = dict(row)
-        while row:
-            col = min(row)
-            if col in pivots:
-                piv = pivots[col]
-                factor = (row[col] * pow(piv[col], -1, p)) % p
-                for c2, v2 in piv.items():
-                    w = (row.get(c2, 0) - factor * v2) % p
-                    if w:
-                        row[c2] = w
-                    else:
-                        row.pop(c2, None)
-            else:
-                pivots[col] = row
-                rank += 1
-                break
-    return rank
+    """Rank of A over the prime field GF(p): its elementary divisors prime to p."""
+    return sum(1 for d in elementary_divisors(A) if d % p)

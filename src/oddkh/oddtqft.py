@@ -58,9 +58,6 @@ class ExteriorSpace:
         self.basis()
         return self._index[mask]
 
-    def mask_of(self, index: int) -> int:
-        return self.basis()[index]
-
     def mask_keys(self, mask: int) -> tuple:
         return tuple(self.keys[i] for i in range(self.k) if (mask >> i) & 1)
 
@@ -108,17 +105,6 @@ class TqftMap:
 
     def apply(self, mask: int):
         return self.columns.get(mask, ())
-
-    def apply_vector(self, vec: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for mask, coeff in vec.items():
-            for c2, m2 in self.columns.get(mask, ()):
-                w = out.get(m2, 0) + coeff * c2
-                if w:
-                    out[m2] = w
-                else:
-                    del out[m2]
-        return out
 
     def matrix(self) -> IntMatrix:
         entries = {}

@@ -32,6 +32,7 @@ from .complexes import (
     induced_map_on_homology,
     is_chain_map,
     reduce_coefficients,
+    replay_homotopy,
     zero_chain_map,
 )
 from .cube import arrow_flipped_signs, build_cube, enumerate_sign_assignments, solve_sign_assignment
@@ -156,16 +157,9 @@ def _witnessed_identity(f, label):
     s, H = homotopic_up_to_sign(f, ident)
     if H is None:
         return False, f"{label}: no homotopy to either sign of the identity"
-    degrees = set(f.blocks) | set(H) | {h - 1 for h in H}
-    for h in degrees:
-        lhs = f.block(h) - ident.block(h).scale(s)
-        rhs = IntMatrix.zero(lhs.rows, lhs.cols)
-        if h in H:
-            rhs = rhs + f.dst.differential(h - 1) * H[h]
-        if h + 1 in H:
-            rhs = rhs + H[h + 1] * f.src.differential(h)
-        if lhs != rhs:
-            return False, f"{label}: witness fails in degree {h}"
+    h = replay_homotopy(f, ident, s, H)
+    if h is not None:
+        return False, f"{label}: witness fails in degree {h}"
     return True, f"{label}: homotopic to {s:+d} times the identity, witness replayed"
 
 
@@ -385,15 +379,9 @@ def run_dots(max_crossings: int = 12) -> list[Check]:
         s, H = homotopic_up_to_sign(f, g)
         if H is None:
             return False, "no homotopy between the slid dots"
-        for h in set(f.blocks) | set(H) | {h - 1 for h in H}:
-            lhs = f.block(h) - g.block(h).scale(s)
-            rhs = IntMatrix.zero(lhs.rows, lhs.cols)
-            if h in H:
-                rhs = rhs + f.dst.differential(h - 1) * H[h]
-            if h + 1 in H:
-                rhs = rhs + H[h + 1] * f.src.differential(h)
-            if lhs != rhs:
-                return False, f"witness fails in degree {h}"
+        h = replay_homotopy(f, g, s, H)
+        if h is not None:
+            return False, f"witness fails in degree {h}"
         return True, f"dot slides over the crossing with sign {s:+d}, witness replayed"
     _run(checks, "dot_slides_over_crossing", over_slide)
     return checks

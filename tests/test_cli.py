@@ -6,9 +6,9 @@ import re
 import pytest
 
 from oddkh.cli import main
-from oddkh.complexes import assemble_complex, homology
+from oddkh.complexes import assemble_complex, homology, reduce_coefficients
 from oddkh.cube import build_cube
-from oddkh.fixtures import rational_knot
+from oddkh.fixtures import prime_knot, rational_knot
 from oddkh.linkdiag import diagram_to_dict
 
 
@@ -20,6 +20,23 @@ def test_homology_json_on_nine_crossings(tmp_path, capsys):
     assert main(["homology", str(path), "--json"]) == 0
     expected = homology(assemble_complex(build_cube(diagram, "y"))).to_rows()
     assert json.loads(capsys.readouterr().out) == expected
+
+
+def test_homology_coefficients_json_on_8_19(tmp_path, capsys):
+    diagram = prime_knot("8_19")
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(diagram_to_dict(diagram)))
+    cx = assemble_complex(build_cube(diagram, "y"))
+    assert main(["homology", str(path), "--coeff", "z2", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    mod2 = {(r["h"], r["q"]): r["dim"] for r in rows}
+    assert mod2 == reduce_coefficients(cx, 2)
+    assert main(["homology", str(path), "--coeff", "q", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    free = {(r["h"], r["q"]): r["rank"] for r in rows}
+    assert free == {k: rank for k, (rank, _) in homology(cx).table.items() if rank}
+    # 8_19 has 2-torsion, so mod 2 sees more than the free ranks.
+    assert sum(mod2.values()) > sum(free.values())
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oddkh.complexes import (
     BigradedHomology,
     ChainMap,
+    HomologyPresentation,
     assemble_complex,
     compose,
     equal_up_to_sign,
@@ -18,12 +19,13 @@ from oddkh.complexes import (
     induced_map_on_homology,
     is_chain_map,
     reduce_coefficients,
+    replay_homotopy,
     verify_differential_squares,
     zero_chain_map,
 )
 from oddkh.cube import build_cube, enumerate_sign_assignments, fast_sign_assignment, solve_sign_assignment
 from oddkh.fixtures import braid_closure, rational_knot
-from oddkh.linalg import IntMatrix, smith_normal_form
+from oddkh.linalg import IntMatrix, smith_normal_form, solve_integer
 from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd
 from oddkh.verify import named_diagrams
 
@@ -158,18 +160,6 @@ def test_homotopy_trivial_cases():
     assert s is None and H is None
 
 
-def _homotopy_realizes(f, g, s, H):
-    src, dst = f.src, f.dst
-    for h in src.degrees():
-        hh = H.get(h, IntMatrix.zero(dst.dim(h - 1), src.dim(h)))
-        hh1 = H.get(h + 1, IntMatrix.zero(dst.dim(h), src.dim(h + 1)))
-        lhs = f.block(h) - g.block(h).scale(s)
-        rhs = dst.differential(h - 1) * hh + hh1 * src.differential(h)
-        if lhs != rhs:
-            return False
-    return True
-
-
 def test_homotopy_finds_a_constructed_witness():
     c = assemble_complex(build_cube(kinked_unknot([1, -1])))
     candidates = {}
@@ -194,7 +184,7 @@ def test_homotopy_finds_a_constructed_witness():
     z = zero_chain_map(c, c)
     s, H = homotopic_up_to_sign(f, z)
     assert s == 1
-    assert _homotopy_realizes(f, z, s, H)
+    assert replay_homotopy(f, z, s, H) is None
     induced = induced_map_on_homology(f)
     assert all(not m.data for m in induced.values())
 
@@ -230,21 +220,26 @@ def test_reduce_coefficients_unknot():
             reduce_coefficients(c, bad)
 
 
+def universal_coefficients(table, p):
+    """Mod-p dimensions of an integer homology table, by the UCT."""
+    expected = {}
+    for (h, q), (rank, torsion) in table.items():
+        here = rank + sum(1 for d in torsion if d % p == 0)
+        if here:
+            expected[h, q] = expected.get((h, q), 0) + here
+        lifted = sum(1 for d in torsion if d % p == 0)
+        if lifted:
+            key = (h - 1, q)
+            expected[key] = expected.get(key, 0) + lifted
+    return expected
+
+
 def test_mod_p_dimensions_satisfy_universal_coefficients():
     for code in (TREFOIL, FIG8, HOPF_POS):
         c = assemble_complex(build_cube(parse_pd(code)))
         hom = homology(c)
         for p in (2, 3, 5):
-            expected = {}
-            for (h, q), (rank, torsion) in hom.table.items():
-                here = rank + sum(1 for d in torsion if d % p == 0)
-                if here:
-                    expected[h, q] = expected.get((h, q), 0) + here
-                lifted = sum(1 for d in torsion if d % p == 0)
-                if lifted:
-                    key = (h - 1, q)
-                    expected[key] = expected.get(key, 0) + lifted
-            assert reduce_coefficients(c, p) == expected
+            assert reduce_coefficients(c, p) == universal_coefficients(hom.table, p)
 
 
 def test_euler_characteristic_equals_homology_euler():
@@ -312,3 +307,61 @@ _braid_letters = st.sampled_from([1, -1, 2, -2])
 def test_homology_matches_snf_reference_on_random_diagrams(diagram, theory):
     c = assemble_complex(build_cube(diagram, theory))
     assert homology(c) == snf_reference_homology(c)
+
+
+def test_mod_p_homology_matches_snf_reference_on_corpus():
+    torsion_seen = set()
+    for name, diagram in named_diagrams(8):
+        c = assemble_complex(build_cube(diagram))
+        reference = snf_reference_homology(c).table
+        for p in (2, 3):
+            assert reduce_coefficients(c, p) == universal_coefficients(reference, p), (name, p)
+            if any(d % p == 0 for _, t in reference.values() for d in t):
+                torsion_seen.add(p)
+    # 8_19 carries 2- and 3-torsion, so both primes see torsion there.
+    assert torsion_seen == {2, 3}
+
+
+def test_homology_presentations_match_homology_on_corpus():
+    for name, diagram in named_diagrams(8):
+        c = assemble_complex(build_cube(diagram))
+        hom = homology(c)
+        for h, q in c.gradings():
+            pres = homology_presentation(c, h, q)
+            rank, torsion = hom.group(h, q)
+            orders = pres.orders
+            assert (orders.count(0), sorted(d for d in orders if d)) == (rank, sorted(torsion)), (name, h, q)
+            cols = c.q_block(h, q)
+            incoming = c.differential(h - 1).submatrix(cols, c.q_block(h - 1, q))
+            for i, d in enumerate(pres.orders):
+                gen = pres.generator(i)
+                assert pres.coords(gen) == [int(k == i) for k in range(len(pres.orders))]
+                if d:
+                    assert solve_integer(incoming, [d * x for x in gen]) is not None
+            for j in range(incoming.cols):
+                assert not any(pres.coords(incoming.column(j)))
+
+
+def test_homology_presentation_refuses_non_cycles_and_bad_differentials():
+    c = assemble_complex(build_cube(parse_pd(TREFOIL)))
+    h, q = next((h, q) for h, q in c.gradings() if c.differential(h).submatrix(
+        c.q_block(h + 1, q), c.q_block(h, q)).data)
+    pres = homology_presentation(c, h, q)
+    outgoing = c.differential(h).submatrix(c.q_block(h + 1, q), c.q_block(h, q))
+    j = next(j for i, j in outgoing.data)
+    with pytest.raises(ValueError):
+        pres.coords([int(k == j) for k in range(outgoing.cols)])
+    # A boundary map that does not land in the cycles is an internal fault.
+    with pytest.raises(AssertionError):
+        HomologyPresentation(IntMatrix.identity(outgoing.cols), outgoing)
+
+
+def test_replay_homotopy_checks_every_degree():
+    c = assemble_complex(build_cube(parse_pd(TREFOIL)))
+    ident = identity_chain_map(c)
+    zero = zero_chain_map(c, c)
+    assert replay_homotopy(ident, ident, 1, {}) is None
+    assert replay_homotopy(zero, zero, -1, {}) is None
+    # The zero map has no blocks; the identity's degrees still count.
+    assert replay_homotopy(zero, ident, 1, {}) in c.degrees()
+    assert replay_homotopy(ident, zero, 1, {}) in c.degrees()

@@ -9,6 +9,7 @@ from oddkh.linalg import (
     _eliminate_units,
     elementary_divisors,
     gf2_rank,
+    integer_cokernel,
     integer_kernel,
     integer_rank,
     modp_rank,
@@ -116,14 +117,14 @@ def test_solve_integer_solvable():
     x = solve_integer(a, [4, -9])
     assert x is not None
     assert a.apply(x) == [4, -9]
-    assert integer_kernel(a) == []
+    assert integer_kernel(a)[0].cols == 0
 
 
 def test_solve_integer_unsolvable():
     a = IntMatrix.from_rows([[2]])
     x = solve_integer(a, [3])
     assert x is None
-    assert integer_kernel(a) == []
+    assert integer_kernel(a)[0].cols == 0
     # Inconsistent overdetermined system.
     a = IntMatrix.from_rows([[1], [1]])
     x = solve_integer(a, [0, 1])
@@ -134,18 +135,17 @@ def test_solve_integer_kernel():
     a = IntMatrix.from_rows([[1, 1, 1]])
     x = solve_integer(a, [5])
     assert x is not None and sum(x) == 5
-    kernel = integer_kernel(a)
-    assert len(kernel) == 2
-    for k in kernel:
-        assert a.apply(k) == [0]
+    kernel, _ = integer_kernel(a)
+    assert kernel.cols == 2
+    for j in range(kernel.cols):
+        assert a.apply(kernel.column(j)) == [0]
     # Kernel vectors are primitive enough to span: check rank.
-    km = IntMatrix(3, 2, {(r, j): k[r] for j, k in enumerate(kernel) for r in range(3) if k[r]})
-    assert integer_rank(km) == 2
+    assert integer_rank(kernel) == 2
 
 
 def test_integer_kernel_of_injective_map_is_empty():
     a = IntMatrix.from_rows([[1, 0], [0, 2], [3, 3]])
-    assert integer_kernel(a) == []
+    assert integer_kernel(a)[0].cols == 0
 
 
 @settings(max_examples=120, deadline=None)
@@ -167,8 +167,9 @@ def test_solve_integer_roundtrip(rows, cols, data):
     x = solve_integer(a, b)
     assert x is not None
     assert a.apply(x) == b
-    for k in integer_kernel(a):
-        assert a.apply(k) == [0] * rows
+    kernel, _ = integer_kernel(a)
+    for j in range(kernel.cols):
+        assert a.apply(kernel.column(j)) == [0] * rows
 
 
 def snf_solvable(a, b):
@@ -237,6 +238,72 @@ def test_solve_integer_agrees_with_snf(rows, cols, entry_range, solvable, data):
     assert (x is not None) == snf_solvable(a, b)
     if x is not None:
         assert a.apply(x) == b
+
+
+def check_kernel(a):
+    """K is a Z-basis of ker A with left inverse L, saturated against SNF."""
+    kernel, left = integer_kernel(a)
+    assert kernel.cols == a.cols - integer_rank(a)
+    assert (a * kernel).is_zero()
+    assert left * kernel == IntMatrix.identity(kernel.cols)
+    snf = smith_normal_form(a)
+    for j in range(snf.rank, a.cols):
+        v = snf.V.column(j)
+        assert kernel.apply(left.apply(v)) == v
+
+
+def test_integer_kernel_with_leftover_block():
+    # No unit entries: the kernel comes from the leftover block's SNF.
+    a = IntMatrix.from_rows([[2, 4, 6], [6, 8, 2]])
+    assert _eliminate_units(a)[3] == []
+    check_kernel(a)
+    assert integer_kernel(a)[0].cols == 1
+    # One unit pivot, a leftover block with divisors 2, 4, and two free columns.
+    a = IntMatrix.from_rows([[1, 1, 0, 1, 0], [1, 3, 4, 1, 0], [0, 6, 8, 0, 0]])
+    check_kernel(a)
+    assert integer_kernel(a)[0].cols == 2
+
+
+def check_cokernel(a):
+    """(orders, C, G) presents Z^rows / im A exactly."""
+    orders, coords, gens = integer_cokernel(a)
+    divisors = elementary_divisors(a)
+    assert 1 not in orders
+    assert sorted(d for d in orders if d) == [d for d in divisors if d > 1]
+    assert orders.count(0) == a.rows - len(divisors)
+    assert coords * gens == IntMatrix.identity(len(orders))
+    # Relations have zero coordinates, and every order kills its generator.
+    for (i, _), v in (coords * a).data.items():
+        assert orders[i] and v % orders[i] == 0
+    for i, d in enumerate(orders):
+        if d:
+            assert solve_integer(a, [d * x for x in gens.column(i)]) is not None
+    # Each vector agrees with its coordinates' image modulo the relations.
+    for r in range(a.rows):
+        e = [int(i == r) for i in range(a.rows)]
+        back = gens.apply(coords.apply(e))
+        assert solve_integer(a, [x - y for x, y in zip(e, back)]) is not None
+
+
+def test_integer_cokernel_with_torsion():
+    check_cokernel(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    a = IntMatrix.from_rows([[1, 1, 0], [1, 3, 4], [0, 6, 8], [0, 0, 0]])
+    check_cokernel(a)
+    assert sorted(integer_cokernel(a)[0]) == [0, 2, 4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+def test_integer_kernel_and_cokernel_on_random_matrices(rows, cols, data):
+    entries = {}
+    for r in range(rows):
+        for c in range(cols):
+            v = data.draw(st.sampled_from([0, 0, 1, -1, 2, -2, 6, -6]))
+            if v:
+                entries[(r, c)] = v
+    a = IntMatrix(rows, cols, entries)
+    check_kernel(a)
+    check_cokernel(a)
 
 
 def test_solve_gf2_basic():
