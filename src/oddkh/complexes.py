@@ -8,6 +8,7 @@ integral homotopy decision, and induced maps on homology presentations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cube import Cube, solve_sign_assignment
@@ -43,7 +44,9 @@ class ChainComplex:
     preserves quantum degree.
     """
 
-    __slots__ = ("cube", "signs", "n_plus", "n_minus", "_basis", "_qdeg", "_index", "_diff", "_pres")
+    __slots__ = (
+        "cube", "signs", "n_plus", "n_minus", "_basis", "_qdeg", "_index", "_diff", "_pres", "_blocks",
+    )
 
     def __init__(self, cube: Cube, signs: dict, basis: dict, qdeg: dict, diff: dict):
         self.cube = cube
@@ -55,6 +58,7 @@ class ChainComplex:
         self._index = {h: {g: i for i, g in enumerate(v)} for h, v in basis.items()}
         self._diff = diff
         self._pres: dict[tuple[int, int], HomologyPresentation] = {}
+        self._blocks: dict[int, dict[int, IntMatrix]] = {}
 
     def degrees(self) -> list[int]:
         return sorted(self._basis)
@@ -191,17 +195,39 @@ class BigradedHomology:
         ]
 
 
+def _q_blocks(c: ChainComplex, h: int) -> dict:
+    """d_h cut into its quantum-degree blocks, in block coordinates.
+
+    One pass over the nonzeros; each generator keeps its order inside
+    its block.  Keys are the quantum degrees of degree h.
+    """
+    qs, qt = c.quantum_degrees(h), c.quantum_degrees(h + 1)
+    cols, src = _block_positions(qs)
+    rows, dst = _block_positions(qt)
+    by_q: dict[int, dict] = {q: {} for q in cols}
+    for (i, j), v in c.differential(h).data.items():
+        by_q[qs[j]][dst[i], src[j]] = v
+    return {q: IntMatrix(rows[q], cols[q], entries) for q, entries in by_q.items()}
+
+
+def _block_positions(qs) -> tuple[Counter, list[int]]:
+    """Block sizes per quantum degree, and each generator's place in its block."""
+    sizes: Counter = Counter()
+    pos = []
+    for q in qs:
+        pos.append(sizes[q])
+        sizes[q] += 1
+    return sizes, pos
+
+
 def _divisor_table(c: ChainComplex) -> dict:
     """The nonzero elementary divisors of each (h, q) block of d_h."""
-    divisors = {}
-    for h, d in c._diff.items():
-        qs = c.quantum_degrees(h)
-        by_q: dict[int, dict] = {}
-        for (i, j), v in d.data.items():
-            by_q.setdefault(qs[j], {})[i, j] = v
-        for q, entries in by_q.items():
-            divisors[h, q] = elementary_divisors(IntMatrix(d.rows, d.cols, entries))
-    return divisors
+    return {
+        (h, q): elementary_divisors(block)
+        for h in c._diff
+        for q, block in _q_blocks(c, h).items()
+        if block.data
+    }
 
 
 def homology(c: ChainComplex) -> BigradedHomology:
@@ -480,9 +506,11 @@ class HomologyPresentation:
 def homology_presentation(c: ChainComplex, h: int, q: int) -> HomologyPresentation:
     pres = c._pres.get((h, q))
     if pres is None:
-        cols = c.q_block(h, q)
-        incoming = c.differential(h - 1).submatrix(cols, c.q_block(h - 1, q))
-        outgoing = c.differential(h).submatrix(c.q_block(h + 1, q), cols)
+        for k in (h - 1, h):
+            if k not in c._blocks:
+                c._blocks[k] = _q_blocks(c, k)
+        outgoing = c._blocks[h].get(q, IntMatrix.zero(0, 0))
+        incoming = c._blocks[h - 1].get(q, IntMatrix.zero(outgoing.cols, 0))
         pres = HomologyPresentation(incoming, outgoing)
         c._pres[h, q] = pres
     return pres

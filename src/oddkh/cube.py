@@ -2,8 +2,10 @@
 
 Vertices carry exterior state spaces, edges carry merge or split maps,
 and square faces are sorted into the ten shapes that determine how the
-two paths around them compare.  Coherent edge signs are then a linear
-question over GF(2).  Gradings and differentials live one level up.
+two paths around them compare.  Coherent edge signs are then built by
+doubling the cube one crossing at a time and brought into one canonical
+vertex gauge; GF(2) elimination remains only to enumerate every
+coherent choice.  Gradings and differentials live one level up.
 """
 
 from __future__ import annotations
@@ -300,36 +302,101 @@ def face_edges(alpha: int, c1: int, c2: int):
     )
 
 
-def _face_system(cube: Cube, index: dict) -> tuple[list[int], list[int]]:
-    # Product of the four edge signs must be -sigma: as bits, the row
-    # sums to 1 exactly when sigma is +1.
-    rows, rhs = [], []
-    for alpha, c1, c2 in cube.faces():
-        row = 0
-        for e in face_edges(alpha, c1, c2):
-            row |= 1 << index[e]
-        rows.append(row)
-        rhs.append(1 if classify_face(cube, alpha, c1, c2).sigma == 1 else 0)
-    return rows, rhs
+def _face_sigmas(cube: Cube) -> dict:
+    """The path-comparison sign of every face, each face classified once."""
+    return {f: classify_face(cube, *f).sigma for f in cube.faces()}
 
 
-def _signs_from_bits(index: dict, bits: int) -> dict:
-    return {e: -1 if bits >> i & 1 else 1 for e, i in index.items()}
+def _doubled_signs(cube: Cube, sigma) -> dict:
+    """Signs built by doubling the cube one crossing at a time.
+
+    Edges along the new direction from the old half all get +1; these
+    edges form a spanning tree of the cube.  Each copied edge picks up
+    the sign that closes its mixed face, read from ``sigma(alpha, c1,
+    c2)``.  Nothing is checked here.
+    """
+    eps: dict[tuple[int, int], int] = {}
+    for k in range(cube.n):
+        top = 1 << k
+        for alpha in range(top):
+            eps[alpha, k] = 1
+        for alpha in range(top):
+            for c in range(k):
+                if not alpha >> c & 1:
+                    eps[alpha | top, c] = -sigma(alpha, c, k) * eps[alpha, c]
+    return eps
+
+
+def _canonical_signs(cube: Cube, sigma: dict, pinned: dict, refusal: str) -> dict:
+    """The canonical coherent signs for face signs ``sigma`` and pins.
+
+    See ``solve_sign_assignment`` for what makes them canonical.
+    """
+    eps = _doubled_signs(cube, lambda a, c1, c2: sigma[a, c1, c2])
+    # With the doubling tree at +1 the doubled signs are the only
+    # candidate, so one failing face means no coherent signs exist.
+    for (alpha, c1, c2), s in sigma.items():
+        path1 = eps[alpha, c1] * eps[alpha | 1 << c1, c2]
+        path2 = eps[alpha, c2] * eps[alpha | 1 << c2, c1]
+        if path1 * path2 * s != -1:
+            raise ValueError(refusal)
+    # Vertex gauge g, kept in a union-find over the vertices: rel[v] is
+    # g(v) * g(parent[v]).  An edge (alpha, c) joining u and v reads
+    # eps * g(u) * g(v) after the gauge.
+    parent = list(range(1 << cube.n))
+    rel = [1] * (1 << cube.n)
+
+    def find(v: int) -> int:
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        s = 1
+        for u in reversed(path):
+            s *= rel[u]
+            parent[u] = v
+            rel[u] = s
+        return v
+
+    def unite(e, reads: int) -> bool:
+        u, v = e[0], e[0] | 1 << e[1]
+        ru, rv = find(u), find(v)
+        want = eps[e] * reads * rel[u] * rel[v]
+        if ru == rv:
+            return want == 1
+        parent[rv] = ru
+        rel[rv] = want
+        return True
+
+    for e in sorted(pinned):
+        if not unite(e, pinned[e]):
+            raise ValueError(refusal)
+    edges = list(cube.edges())
+    for e in reversed(edges):
+        unite(e, 1)
+    for v in range(1 << cube.n):
+        find(v)
+    return {e: eps[e] * rel[e[0]] * rel[e[0] | 1 << e[1]] for e in edges}
 
 
 def solve_sign_assignment(cube: Cube) -> dict:
     """Canonical coherent edge signs.
 
-    Lexicographic elimination over the edges in (vertex, crossing)
-    order with free variables forced to +1, so the answer is a function
-    of the cube alone.
+    The canonical answer is the one lexicographic elimination over
+    GF(2) gives, with the edges in (vertex, crossing) order as variables
+    and free variables set to +1: a function of the cube alone.  It is
+    built without the elimination.  Each face is classified once, the
+    doubling of ``fast_sign_assignment`` gives the candidate, and the
+    candidate is checked on every face.  Coherent signs form one orbit
+    of the vertex gauge eps(alpha, c) -> g(alpha) eps(alpha, c)
+    g(alpha + c).  Under lowest-bit elimination the free variables are
+    the edges that are the highest edge some gauge flips, and those form
+    the maximum spanning forest by edge index: Kruskal from the last
+    edge down, with pinned edges joined first.  Flipping vertex signs so
+    that forest edges read +1 (and pinned edges their pins) gives the
+    canonical answer in time linear in the number of faces.
     """
-    index = {e: i for i, e in enumerate(cube.edges())}
-    rows, rhs = _face_system(cube, index)
-    sol, _ = solve_gf2(rows, rhs, len(index))
-    if sol is None:
-        raise ValueError("no coherent edge signs exist")
-    return _signs_from_bits(index, sol)
+    return _canonical_signs(cube, _face_sigmas(cube), {}, "no coherent edge signs exist")
 
 
 def enumerate_sign_assignments(cube: Cube) -> list[dict]:
@@ -338,7 +405,15 @@ def enumerate_sign_assignments(cube: Cube) -> list[dict]:
     Refuses to expand a solution space larger than 2^20.
     """
     index = {e: i for i, e in enumerate(cube.edges())}
-    rows, rhs = _face_system(cube, index)
+    # Product of the four edge signs must be -sigma: as bits, the row
+    # sums to 1 exactly when sigma is +1.
+    rows, rhs = [], []
+    for (alpha, c1, c2), sigma in _face_sigmas(cube).items():
+        row = 0
+        for e in face_edges(alpha, c1, c2):
+            row |= 1 << index[e]
+        rows.append(row)
+        rhs.append(1 if sigma == 1 else 0)
     sol, null = solve_gf2(rows, rhs, len(index))
     if sol is None:
         raise ValueError("no coherent edge signs exist")
@@ -354,7 +429,7 @@ def enumerate_sign_assignments(cube: Cube) -> list[dict]:
                 bits ^= null[i]
             rest >>= 1
             i += 1
-        out.append(_signs_from_bits(index, bits))
+        out.append({e: -1 if bits >> i & 1 else 1 for e, i in index.items()})
     return out
 
 
@@ -364,41 +439,31 @@ def arrow_flipped_signs(cube: Cube, reversed_crossings) -> dict:
     Reversing the arrow at a crossing swaps the two offspring circles of
     every split along that direction, negating exactly those edge maps
     and flipping the commutation of faces with an odd number of them.
-    Signs are solved against the flipped face system and the negations
-    folded back in, so assembling with the result over the unchanged
-    edge maps yields the reoriented theory's differential.
+    The canonical signs (see ``solve_sign_assignment``) for the flipped
+    face signs are found and the negations folded back in, so assembling
+    with the result over the unchanged edge maps yields the reoriented
+    theory's differential.
     """
     flip = set(reversed_crossings)
-
-    def negated(e):
-        return e[1] in flip and cube.edge(*e).kind == "split"
-
-    index = {e: i for i, e in enumerate(cube.edges())}
-    rows, rhs = _face_system(cube, index)
-    for k, (alpha, c1, c2) in enumerate(cube.faces()):
-        if sum(negated(e) for e in face_edges(alpha, c1, c2)) % 2:
-            rhs[k] ^= 1
-    sol, _ = solve_gf2(rows, rhs, len(index))
-    if sol is None:
-        raise ValueError("no coherent edge signs exist for the flipped arrows")
-    eps = _signs_from_bits(index, sol)
-    return {e: -v if negated(e) else v for e, v in eps.items()}
+    negated = {e for e in cube.edges() if e[1] in flip and cube.edge(*e).kind == "split"}
+    sigma = _face_sigmas(cube)
+    for f in sigma:
+        if len(negated.intersection(face_edges(*f))) % 2:
+            sigma[f] = -sigma[f]
+    eps = _canonical_signs(cube, sigma, {}, "no coherent edge signs exist for the flipped arrows")
+    return {e: -v if e in negated else v for e, v in eps.items()}
 
 
 def extend_sign_assignment(cube: Cube, pinned: dict) -> dict:
     """Canonical completion of a partial edge-sign choice.
 
-    Raises ValueError when the pins close no coherent assignment.
+    The canonical signs of ``solve_sign_assignment`` with the pinned
+    edges fixed as well: the forest that the gauge fix sets to +1 grows
+    from the pinned edges.  Raises ValueError when the pins close no
+    coherent assignment, that is when a cycle of pinned edges has the
+    wrong parity.
     """
-    index = {e: i for i, e in enumerate(cube.edges())}
-    rows, rhs = _face_system(cube, index)
-    for e in sorted(pinned):
-        rows.append(1 << index[e])
-        rhs.append(1 if pinned[e] == -1 else 0)
-    sol, _ = solve_gf2(rows, rhs, len(index))
-    if sol is None:
-        raise ValueError("pinned signs admit no coherent completion")
-    return _signs_from_bits(index, sol)
+    return _canonical_signs(cube, _face_sigmas(cube), pinned, "pinned signs admit no coherent completion")
 
 
 def fast_sign_assignment(cube: Cube) -> dict:
@@ -407,21 +472,12 @@ def fast_sign_assignment(cube: Cube) -> dict:
     Edges along the new direction all get +1 and each copied edge picks
     up the sign that closes its mixed face.  Faces inside the copied
     half then close themselves, because every 3-cube carries an even
-    number of sign-reversing faces.  Linear in the number of faces, so
-    it reaches cube sizes the elimination solver cannot.
+    number of sign-reversing faces.  It classifies only the faces the
+    doubling reads and skips both the check of every face and the gauge
+    fix onto the canonical answer, so it differs from
+    ``solve_sign_assignment`` by a vertex gauge.
     """
-    eps: dict[tuple[int, int], int] = {}
-    for k in range(cube.n):
-        top = 1 << k
-        for alpha in range(top):
-            eps[alpha, k] = 1
-        for alpha in range(top):
-            for c in range(k):
-                if alpha >> c & 1:
-                    continue
-                sigma = classify_face(cube, alpha, c, k).sigma
-                eps[alpha | top, c] = -sigma * eps[alpha, c]
-    return eps
+    return _doubled_signs(cube, lambda a, c1, c2: classify_face(cube, a, c1, c2).sigma)
 
 
 def verify_sign_assignment(cube: Cube, eps: dict) -> bool:

@@ -6,9 +6,10 @@ computation (elementary divisors and the integer and mod-p ranks read
 off them, solves, kernels, cokernels) runs one sparse elimination that
 cancels unit (+-1) pivots, then Smith normal form on the block left
 over; U, V and V^-1 are built for that block only.  The GF(2)
-solver on bitmask rows serves the cube's sign equations.  Matrices are
-sparse dictionaries of arbitrary-precision Python integers; there is
-no floating point anywhere in this module.
+solver on bitmask rows serves only the enumeration of every coherent
+edge-sign choice of a cube.  Matrices are sparse dictionaries of
+arbitrary-precision Python integers; there is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ import re
 import pytest
 
 from oddkh.cli import main
+from oddkh.cobordism import r2_event, saddle_event, script_to_dict
 from oddkh.complexes import assemble_complex, homology, reduce_coefficients
 from oddkh.cube import build_cube
-from oddkh.fixtures import prime_knot, rational_knot
+from oddkh.fixtures import prime_knot, rational_knot, unlink
 from oddkh.linkdiag import diagram_to_dict
 
 
@@ -59,3 +60,40 @@ def test_homology_rejects_unreadable_file(tmp_path, capsys):
 def test_verify_functoriality_passes(capsys):
     assert main(["verify", "functoriality"]) == 0
     assert re.search(r"# functoriality: (\d+)/\1 passed", capsys.readouterr().out)
+
+
+def test_verify_signs_passes(capsys):
+    # Runs the enumeration, the canonical solve and the arrow flips.
+    assert main(["verify", "signs"]) == 0
+    assert re.search(r"# signs: (\d+)/\1 passed", capsys.readouterr().out)
+
+
+def test_movie_json_reports_the_quantum_shift(tmp_path, capsys):
+    # Poke two circles through each other, then merge them by a saddle.
+    script = script_to_dict(unlink(2), [r2_event(1, 2), saddle_event(1, 4)])
+    path = tmp_path / "movie.json"
+    path.write_text(json.dumps(script))
+    assert main(["movie", str(path), "--json", "--check", "chainmap"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["events"] == 2
+    # R2 keeps the quantum grading and a saddle lowers it by one.
+    assert report["q_shift"] == -1
+    assert [c["passed"] for c in report["checks"]] == [True]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "not json",
+        '{"initial": {"pd": []}, "events": [], "extra": 1}',
+        '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "teleport"}]}',
+        '{"initial": {"pd": [], "free_circles": 2}, "events": '
+        '[{"type": "r2", "arcs": [1, 2]}, {"type": "saddle", "arcs": [1, 2]}]}',
+    ],
+    ids=["invalid-json", "unknown-key", "unknown-event", "event-does-not-apply"],
+)
+def test_movie_rejects_malformed_scripts(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["movie", str(path)]) == 1
+    assert "error" in capsys.readouterr().err

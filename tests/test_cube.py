@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddkh import cube as cube_module
 from oddkh.cube import (
+    arrow_flipped_signs,
     build_cube,
     classify_face,
     enumerate_sign_assignments,
@@ -14,8 +16,11 @@ from oddkh.cube import (
     solve_sign_assignment,
     verify_sign_assignment,
 )
+from oddkh.fixtures import braid_closure, rational_knot
+from oddkh.linalg import solve_gf2
 from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd
 from oddkh.oddtqft import compose
+from oddkh.verify import named_diagrams
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 FIG8 = [[4, 2, 5, 1], [8, 6, 1, 5], [6, 3, 7, 4], [2, 7, 3, 8]]
@@ -178,3 +183,133 @@ def test_kinked_unknot_sign_systems(signs):
     cube = build_cube(kinked_unknot(signs))
     assert verify_sign_assignment(cube, solve_sign_assignment(cube))
     assert verify_sign_assignment(cube, fast_sign_assignment(cube))
+
+
+def gf2_reference(cube, pinned=None, negated=frozenset()):
+    """Signs from lowest-bit GF(2) elimination of the face system.
+
+    Edges in (vertex, crossing) order are the variables and free
+    variables read +1.  Pins add one equation each.  A face with an odd
+    number of ``negated`` edges has its sigma flipped, and the
+    negations are folded back into the answer, as for reversed arrows.
+    """
+    index = {e: i for i, e in enumerate(cube.edges())}
+    rows, rhs = [], []
+    for alpha, c1, c2 in cube.faces():
+        row, odd = 0, False
+        for e in face_edges(alpha, c1, c2):
+            row |= 1 << index[e]
+            odd ^= e in negated
+        sigma = cube_module.classify_face(cube, alpha, c1, c2).sigma
+        rows.append(row)
+        rhs.append(1 if sigma == (-1 if odd else 1) else 0)
+    for e, v in sorted((pinned or {}).items()):
+        rows.append(1 << index[e])
+        rhs.append(1 if v == -1 else 0)
+    sol, _ = solve_gf2(rows, rhs, len(index))
+    if sol is None:
+        raise ValueError("no coherent edge signs exist")
+    return {
+        e: (-1 if sol >> i & 1 else 1) * (-1 if e in negated else 1)
+        for e, i in index.items()
+    }
+
+
+def outcome(fn, *args):
+    """The result of a solver, or ValueError when it refuses."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_solve_matches_gf2_reference_on_corpus(theory):
+    for name, diagram in named_diagrams(8):
+        cube = build_cube(diagram, theory)
+        assert solve_sign_assignment(cube) == gf2_reference(cube), name
+
+
+_braid_letters = st.sampled_from([1, -1, 2, -2])
+_small_diagrams = st.one_of(
+    st.lists(_braid_letters, min_size=1, max_size=6).map(lambda w: braid_closure(w, 3)),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    .filter(lambda tw: sum(tw) <= 6)
+    .map(rational_knot),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_diagrams, st.sampled_from(["x", "y"]))
+def test_solve_matches_gf2_reference_on_random_diagrams(diagram, theory):
+    cube = build_cube(diagram, theory)
+    assert solve_sign_assignment(cube) == gf2_reference(cube)
+
+
+_pin_hosts = [d for _, d in named_diagrams(6) if d.crossings]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_pin_hosts),
+    st.sampled_from(["x", "y"]),
+    st.sampled_from(["canonical", "one_flipped", "random"]),
+    st.data(),
+)
+def test_extend_matches_gf2_reference_on_random_pins(diagram, theory, mode, data):
+    cube = build_cube(diagram, theory)
+    edges = list(cube.edges())
+    chosen = data.draw(st.lists(st.sampled_from(edges), min_size=1, unique=True))
+    if mode == "random":
+        pins = {e: data.draw(st.sampled_from([1, -1])) for e in chosen}
+    else:
+        canonical = solve_sign_assignment(cube)
+        pins = {e: canonical[e] for e in chosen}
+        if mode == "one_flipped":
+            e = data.draw(st.sampled_from(chosen))
+            pins[e] = -pins[e]
+    got = outcome(extend_sign_assignment, cube, pins)
+    assert got == outcome(gf2_reference, cube, pins)
+    if got is not ValueError:
+        assert verify_sign_assignment(cube, got)
+        assert all(got[e] == v for e, v in pins.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_pin_hosts), st.sampled_from(["x", "y"]), st.data())
+def test_arrow_flips_match_gf2_reference(diagram, theory, data):
+    cube = build_cube(diagram, theory)
+    reversed_crossings = data.draw(st.sets(st.integers(0, cube.n - 1)))
+    negated = {
+        e for e in cube.edges()
+        if e[1] in reversed_crossings and cube.edge(*e).kind == "split"
+    }
+    got = outcome(arrow_flipped_signs, cube, reversed_crossings)
+    assert got == outcome(gf2_reference, cube, None, negated)
+
+
+def kinked_poke():
+    """The poke with a kink added: three crossings and interleaved faces."""
+    return insert_kink(parse_pd(POKE), 1, 1)
+
+
+@pytest.mark.parametrize("vanishing", [False, True], ids=["paths", "vanishing-paths"])
+def test_one_flipped_face_is_refused(monkeypatch, vanishing):
+    cube = build_cube(kinked_poke())
+    face = next(
+        f for f in cube.faces()
+        if (classify_face(cube, *f).tag in {"vi", "x"}) == vanishing
+    )
+    original = cube_module.classify_face
+
+    def flipped(cb, alpha, c1, c2):
+        fc = original(cb, alpha, c1, c2)
+        if (alpha, min(c1, c2), max(c1, c2)) == face:
+            return cube_module.FaceClass(fc.tag, -fc.sigma)
+        return fc
+
+    monkeypatch.setattr(cube_module, "classify_face", flipped)
+    with pytest.raises(ValueError):
+        solve_sign_assignment(cube)
+    with pytest.raises(ValueError):
+        gf2_reference(cube)
