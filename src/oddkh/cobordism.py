@@ -3,8 +3,8 @@
 Every builder returns a ChainMap between complexes assembled with the
 canonical sign choice unless a complex is passed in.  Conventions:
 
-- Births include, deaths contract, dots wedge.  Deaths and dots carry a
-  per-vertex parity sign computed by ``s_value``.
+- Births include, deaths contract, dots wedge.  Deaths and dots carry
+  the per-vertex sign (-1)^s, with the exponent s from ``s_value``.
 - Saddles ride an auxiliary band site.  The sign extension over the
   enlarged cube is pinned to both end assignments and then normalized
   so the band edge at the all-zero resolution is positive.  A band that
@@ -38,37 +38,27 @@ from .linkdiag import (
     diagram_to_dict,
     insert_kink,
     parse_pd,
-    resolve,
     smooth_crossings,
 )
 from .oddtqft import birth_map, compose as compose_tqft, death_map, dot_map, relabel_map
 
 
-def s_value(diagram: LinkDiagram, alpha: int) -> int:
+def s_value(cube: Cube, alpha: int) -> int:
     """Exponent of the sign carried by deaths and dots at one vertex.
 
-    Half of (circles at alpha) + (circles at zero) + (degree of alpha).
-    The sum is even because each 1-bit changes the circle count by
-    exactly one, so the two counts differ from each other by the degree
-    mod 2.
+    Half of (circles at alpha) + (circles at zero) + (degree of alpha),
+    read from the cube's cached resolutions.  The sum is even because
+    each 1-bit changes the circle count by exactly one, so the two
+    counts differ from each other by the degree mod 2.
     """
-    total = (
-        resolve(diagram, alpha).n_circles
-        + resolve(diagram, 0).n_circles
-        + alpha.bit_count()
-    )
-    assert total % 2 == 0
-    return total // 2
-
-
-def _parity_sign(cube: Cube, alpha: int) -> int:
     total = (
         cube.resolution(alpha).n_circles
         + cube.resolution(0).n_circles
         + alpha.bit_count()
     )
-    # total is even; total & 2 tests the parity of total // 2.
-    return -1 if total & 2 else 1
+    if total & 1:
+        raise AssertionError("circle counts and degree disagree in parity")
+    return total // 2
 
 
 def _vertexwise(cx_src: ChainComplex, cx_dst: ChainComplex, q_shift: int, factor) -> ChainMap:
@@ -118,7 +108,8 @@ def death_cobordism_map(cx: ChainComplex, arc: int) -> ChainMap:
 
     def factor(alpha):
         sp, tp = cx.cube.space(alpha), dst.cube.space(alpha)
-        return _parity_sign(cx.cube, alpha), alpha, death_map(sp, tp, arc)
+        sign = -1 if s_value(cx.cube, alpha) & 1 else 1
+        return sign, alpha, death_map(sp, tp, arc)
 
     return _vertexwise(cx, dst, 1, factor)
 
@@ -131,7 +122,8 @@ def dot_cobordism_map(cx: ChainComplex, arc: int) -> ChainMap:
     def factor(alpha):
         res = cx.cube.resolution(alpha)
         key = res.circle_key(res.arc_circle[arc])
-        return _parity_sign(cx.cube, alpha), alpha, dot_map(cx.cube.space(alpha), key)
+        sign = -1 if s_value(cx.cube, alpha) & 1 else 1
+        return sign, alpha, dot_map(cx.cube.space(alpha), key)
 
     return _vertexwise(cx, cx, -2, factor)
 

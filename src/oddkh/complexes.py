@@ -97,10 +97,14 @@ class ChainComplex:
 def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     """Flatten a cube along a coherent edge-sign choice.
 
-    With no signs given the canonical assignment is used.  The result
-    is validated: every differential entry must preserve quantum degree
-    and d squared must vanish, so any face-classification or sign error
-    surfaces here rather than in a homology answer.
+    With no signs given the canonical assignment is used.  Each degree's
+    differential is built vertex by vertex and edge by edge from the
+    cube's shared edge tables, placing entries through each vertex's
+    offset into its chain group, and finished before the next degree
+    starts.  The result is validated: every differential entry must
+    preserve quantum degree and d squared must vanish, so any
+    face-classification or sign error surfaces here rather than in a
+    homology answer.
     """
     if signs is None:
         signs = solve_sign_assignment(cube)
@@ -108,31 +112,41 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     shift_q = cube.diagram.n_plus - 2 * nm
     basis: dict[int, list] = {}
     qdeg: dict[int, list] = {}
+    verts: dict[int, list] = {}
+    offset: dict[int, int] = {}
     for alpha in cube.vertices():
         h = alpha.bit_count() - nm
         circles = cube.resolution(alpha).n_circles
         sub = cube.space(alpha).basis()
-        basis.setdefault(h, []).extend((alpha, m) for m in sub)
+        gens = basis.setdefault(h, [])
+        offset[alpha] = len(gens)
+        verts.setdefault(h, []).append(alpha)
+        gens.extend((alpha, m) for m in sub)
         qdeg.setdefault(h, []).extend(
             circles - 2 * m.bit_count() + alpha.bit_count() + shift_q for m in sub
         )
     basis = {h: tuple(v) for h, v in basis.items()}
     qdeg = {h: tuple(v) for h, v in qdeg.items()}
-    index = {h: {g: i for i, g in enumerate(v)} for h, v in basis.items()}
     diff = {}
     for h, gens in basis.items():
         if h + 1 not in basis:
             continue
-        tgt = index[h + 1]
         entries = {}
-        for j, (alpha, mask) in enumerate(gens):
+        for alpha in verts[h]:
+            # Entries go in generator order, crossing by crossing: the
+            # unit elimination breaks pivot ties by entry order, so this
+            # order keeps its pivots and the generators it reports.
+            out = []
             for c in range(cube.n):
                 if alpha >> c & 1:
                     continue
-                e = signs[alpha, c]
                 beta = alpha | 1 << c
-                for coeff, out in cube.edge_terms(alpha, c, mask):
-                    entries[tgt[beta, out], j] = e * coeff
+                index = cube.space(beta).basis_index()
+                out.append((signs[alpha, c], offset[beta], index, cube.edge_table(alpha, c)))
+            for j, mask in enumerate(cube.space(alpha).basis(), offset[alpha]):
+                for e, base, index, table in out:
+                    for coeff, m in table[mask]:
+                        entries[base + index[m], j] = e * coeff
         diff[h] = IntMatrix(len(basis[h + 1]), len(gens), entries)
     cx = ChainComplex(cube, dict(signs), basis, qdeg, diff)
     _validate(cx)
@@ -161,14 +175,16 @@ def verify_differential_squares(cube: Cube, eps: dict) -> bool:
     memory stays flat on cubes too large to flatten.
     """
     for alpha, c1, c2 in cube.faces():
-        s1 = eps[alpha, c1] * eps[alpha | 1 << c1, c2]
-        s2 = eps[alpha, c2] * eps[alpha | 1 << c2, c1]
+        paths = []
+        for first, second in ((c1, c2), (c2, c1)):
+            mid = alpha | 1 << first
+            s = eps[alpha, first] * eps[mid, second]
+            paths.append((s, cube.edge_table(alpha, first), cube.edge_table(mid, second)))
         for mask in range(cube.space(alpha).dim):
             acc: dict[int, int] = {}
-            for first, second, s in ((c1, c2, s1), (c2, c1, s2)):
-                mid = alpha | 1 << first
-                for cm, m in cube.edge_terms(alpha, first, mask):
-                    for co, out in cube.edge_terms(mid, second, m):
+            for s, t1, t2 in paths:
+                for cm, m in t1[mask]:
+                    for co, out in t2[m]:
                         v = acc.get(out, 0) + s * cm * co
                         if v:
                             acc[out] = v

@@ -6,6 +6,13 @@ two paths around them compare.  Coherent edge signs are then built by
 doubling the cube one crossing at a time and brought into one canonical
 vertex gauge; GF(2) elimination remains only to enumerate every
 coherent choice.  Gradings and differentials live one level up.
+
+An edge map depends only on its shape: where each source generator
+lands in the target space and, for a split, where the two offspring
+land.  The cube builds one table per shape, the image of every source
+monomial indexed by its mask, and every edge of that shape reads the
+same table.  A 10-crossing cube has thousands of edges but on the
+order of a hundred shapes.
 """
 
 from __future__ import annotations
@@ -52,12 +59,16 @@ class CubeEdge:
 class Cube:
     """All resolutions of a diagram together with their saddle maps.
 
-    Resolutions, state spaces, and edges are derived on demand and
-    cached.  `theory` fixes the sign convention for the two interleaved
-    face shapes and affects nothing else.
+    Resolutions and state spaces are derived on demand and cached.  The
+    one per-edge cache is the edge's shape table (see ``edge_table``):
+    the checks of ``edge`` run once for every edge when its table is
+    looked up, and edges of the same shape share one table, so the cube
+    keeps no per-edge key correspondence.  `theory` fixes the sign
+    convention for the two interleaved face shapes and affects nothing
+    else.
     """
 
-    __slots__ = ("diagram", "n", "theory", "_resolutions", "_spaces", "_edges")
+    __slots__ = ("diagram", "n", "theory", "_resolutions", "_spaces", "_tables", "_shapes")
 
     def __init__(self, diagram: LinkDiagram, theory: str = "y"):
         if theory not in ("x", "y"):
@@ -67,7 +78,8 @@ class Cube:
         self.theory = theory
         self._resolutions: dict[int, Resolution] = {}
         self._spaces: dict[int, ExteriorSpace] = {}
-        self._edges: dict[tuple[int, int], CubeEdge] = {}
+        self._tables: dict[tuple[int, int], tuple] = {}
+        self._shapes: dict[tuple, tuple] = {}
 
     def resolution(self, alpha: int) -> Resolution:
         r = self._resolutions.get(alpha)
@@ -104,13 +116,7 @@ class Cube:
                         yield alpha, c1, c2
 
     def edge(self, alpha: int, c: int) -> CubeEdge:
-        e = self._edges.get((alpha, c))
-        if e is None:
-            e = self._make_edge(alpha, c)
-            self._edges[alpha, c] = e
-        return e
-
-    def _make_edge(self, alpha: int, c: int) -> CubeEdge:
+        """The circle correspondence along one edge, built afresh."""
         if alpha >> c & 1:
             raise ValueError("crossing already resolved at this vertex")
         ra = self.resolution(alpha)
@@ -145,25 +151,48 @@ class Cube:
             return CubeEdge(alpha, c, "split", lift, parent, child0, child1)
         raise AssertionError("a saddle changes the circle count by one")
 
-    def edge_terms(self, alpha: int, c: int, mask: int):
+    def edge_table(self, alpha: int, c: int) -> tuple:
+        """The image of every source monomial under one edge.
+
+        Entry ``mask`` is a tuple of (coeff, target mask) terms, empty
+        when the monomial maps to zero.  The table is keyed by the
+        edge's shape: the target position of each source generator in
+        order, and for a split the positions of both offspring.  Edges
+        of one shape share the same tuple.
+        """
+        t = self._tables.get((alpha, c))
+        if t is None:
+            e = self.edge(alpha, c)
+            src = self.space(alpha)
+            dst = self.space(alpha | 1 << c)
+            pos = dst.pos
+            shape = (e.kind, tuple(pos[e.key_map[k]] for k in src.keys))
+            if e.kind == "split":
+                shape += (pos[e.child0], pos[e.child1])
+            t = self._shapes.get(shape)
+            if t is None:
+                t = self._shapes[shape] = _edge_columns(src, dst, e)
+            self._tables[alpha, c] = t
+        return t
+
+    def edge_terms(self, alpha: int, c: int, mask: int) -> tuple:
         """Image of one basis monomial under one edge, as (coeff, mask) terms."""
-        e = self.edge(alpha, c)
-        src = self.space(alpha)
-        dst = self.space(alpha | 1 << c)
-        if e.kind == "merge":
-            t = relabel_term(src, dst, e.key_map, mask)
-            return () if t is None else (t,)
-        return split_terms(src, dst, e.key_map, e.child0, e.child1, mask)
+        return self.edge_table(alpha, c)[mask]
 
     def edge_map(self, alpha: int, c: int) -> TqftMap:
-        src = self.space(alpha)
-        dst = self.space(alpha | 1 << c)
-        columns = {}
-        for mask in range(src.dim):
-            col = self.edge_terms(alpha, c, mask)
-            if col:
-                columns[mask] = tuple(col)
-        return TqftMap(src, dst, columns)
+        table = self.edge_table(alpha, c)
+        columns = {mask: col for mask, col in enumerate(table) if col}
+        return TqftMap(self.space(alpha), self.space(alpha | 1 << c), columns)
+
+
+def _edge_columns(src: ExteriorSpace, dst: ExteriorSpace, e: CubeEdge) -> tuple:
+    """One edge's map, column by column over every source mask."""
+    if e.kind == "merge":
+        terms = (relabel_term(src, dst, e.key_map, mask) for mask in range(src.dim))
+        return tuple(() if t is None else (t,) for t in terms)
+    return tuple(
+        split_terms(src, dst, e.key_map, e.child0, e.child1, mask) for mask in range(src.dim)
+    )
 
 
 def build_cube(diagram: LinkDiagram, theory: str = "y") -> Cube:
@@ -186,9 +215,10 @@ def _unit_composite(cube: Cube, alpha: int, first: int, second: int) -> dict:
     """Both edges of one path applied to the unit monomial."""
     vec = {0: 1}
     for a, c in ((alpha, first), (alpha | 1 << first, second)):
+        table = cube.edge_table(a, c)
         nxt: dict[int, int] = {}
         for mask, coeff in vec.items():
-            for s, out in cube.edge_terms(a, c, mask):
+            for s, out in table[mask]:
                 v = nxt.get(out, 0) + coeff * s
                 if v:
                     nxt[out] = v

@@ -272,7 +272,50 @@ def parse_pd(data, signs=None, free_circles=0) -> LinkDiagram:
     pd = [tuple(int(a) for a in row) for row in pd]
     top = max((a for row in pd for a in row), default=0)
     free = tuple(top + 1 + i for i in range(free_circles))
-    return LinkDiagram(pd, free_arcs=free, signs=signs)
+    diagram = LinkDiagram(pd, free_arcs=free, signs=signs)
+    _check_planar(diagram)
+    return diagram
+
+
+def _check_planar(diagram: LinkDiagram) -> None:
+    """Refuse a code whose slot order does not embed in the sphere.
+
+    A face is an orbit of "follow the arc at a slot to its other end,
+    then turn to the next slot counterclockwise".  Each connected piece
+    of the 4-valent crossing graph must have V - E + F = 2; with E = 2V
+    that is F - V = 2 per piece, and no piece can exceed 2, so the sums
+    over all pieces decide it.
+    """
+    n = diagram.n
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    other = {}
+    for a, b in diagram.occurrences.values():
+        other[a], other[b] = b, a
+        parent[find(a[0])] = find(b[0])
+    pieces = len({find(c) for c in range(n)})
+    faces = 0
+    seen = set()
+    for start in other:
+        if start in seen:
+            continue
+        faces += 1
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            c, s = other[cur]
+            cur = (c, (s + 1) % 4)
+    if faces - n != 2 * pieces:
+        raise ValueError(
+            f"PD code is not planar: V - E + F sums to {faces - n} over"
+            f" {pieces} connected piece(s), not {2 * pieces}"
+        )
 
 
 def diagram_to_dict(diagram: LinkDiagram) -> dict:

@@ -54,9 +54,13 @@ class ExteriorSpace:
             self._index = {m: i for i, m in enumerate(self._basis)}
         return self._basis
 
-    def index_of(self, mask: int) -> int:
+    def basis_index(self) -> dict[int, int]:
+        """Each mask's position in ``basis()``."""
         self.basis()
-        return self._index[mask]
+        return self._index
+
+    def index_of(self, mask: int) -> int:
+        return self.basis_index()[mask]
 
     def mask_keys(self, mask: int) -> tuple:
         return tuple(self.keys[i] for i in range(self.k) if (mask >> i) & 1)

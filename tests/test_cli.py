@@ -1,15 +1,21 @@
 """The command line exit contract: 0 success, 1 bad input, 2 failed check."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oddkh
+from oddkh import cube as cube_module
 from oddkh.cli import main
 from oddkh.cobordism import r2_event, saddle_event, script_to_dict
 from oddkh.complexes import assemble_complex, homology, reduce_coefficients
 from oddkh.cube import build_cube
-from oddkh.fixtures import prime_knot, rational_knot, unlink
+from oddkh.fixtures import figure_eight, prime_knot, rational_knot, unlink
 from oddkh.linkdiag import diagram_to_dict
 
 
@@ -50,6 +56,71 @@ def test_homology_rejects_malformed_codes(tmp_path, capsys, content):
     path.write_text(content)
     assert main(["homology", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_homology_rejects_non_planar_code(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"pd": [[4, 2, 3, 1], [3, 1, 4, 2]]}')
+    assert main(["homology", str(path)]) == 1
+    out = capsys.readouterr()
+    assert "not planar" in out.err and not out.out
+
+
+def corrupt_one_table(original):
+    """A shape-table builder that negates one term of the first merge table.
+
+    The term sits in a column of two or more generators, which face
+    classification never reads, so only the d^2 check can catch it.
+    Only the first merge table built is touched, so each cube needs a
+    fresh builder.
+    """
+    hit = []
+
+    def build(src, dst, edge):
+        table = original(src, dst, edge)
+        if hit or edge.kind != "merge":
+            return table
+        mask = next(m for m, col in enumerate(table) if col and m.bit_count() >= 2)
+        (coeff, out), *rest = table[mask]
+        hit.append(mask)
+        return table[:mask] + (((-coeff, out), *rest),) + table[mask + 1:]
+
+    return build
+
+
+def test_homology_exits_2_on_a_corrupted_edge_table(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "fig8.json"
+    path.write_text(json.dumps(diagram_to_dict(figure_eight())))
+    original = cube_module._edge_columns
+    monkeypatch.setattr(cube_module, "_edge_columns", corrupt_one_table(original))
+    with pytest.raises(AssertionError, match=r"d\^2"):
+        assemble_complex(build_cube(figure_eight()))
+    # A fresh corruption for the command's own cube.
+    monkeypatch.setattr(cube_module, "_edge_columns", corrupt_one_table(original))
+    assert main(["homology", str(path)]) == 2
+    out = capsys.readouterr()
+    assert "internal invariant violated: d^2 != 0" in out.err and not out.out
+
+
+def test_homology_exits_2_on_a_corrupted_edge_table_under_optimize(tmp_path):
+    path = tmp_path / "fig8.json"
+    path.write_text(json.dumps(diagram_to_dict(figure_eight())))
+    script = (
+        "import sys\n"
+        "if sys.flags.optimize != 1: sys.exit(3)\n"
+        "from oddkh import cube\n"
+        "from test_cli import corrupt_one_table\n"
+        "cube._edge_columns = corrupt_one_table(cube._edge_columns)\n"
+        "from oddkh.cli import main\n"
+        f"sys.exit(main(['homology', {str(path)!r}]))\n"
+    )
+    paths = [str(Path(oddkh.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 2, run.stderr
+    assert "internal invariant violated: d^2 != 0" in run.stderr and not run.stdout
 
 
 def test_homology_rejects_unreadable_file(tmp_path, capsys):

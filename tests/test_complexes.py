@@ -54,6 +54,63 @@ def kinked_unknot(signs):
     return d
 
 
+def reference_assembly(cube, signs):
+    """Basis, quantum degrees and differentials, one generator at a time.
+
+    Each generator's image is pushed through every edge leaving its
+    vertex and placed by looking up the (vertex, mask) target.
+    """
+    nm = cube.diagram.n_minus
+    shift_q = cube.diagram.n_plus - 2 * nm
+    basis, qdeg = {}, {}
+    for alpha in cube.vertices():
+        h = alpha.bit_count() - nm
+        circles = cube.resolution(alpha).n_circles
+        for m in cube.space(alpha).basis():
+            basis.setdefault(h, []).append((alpha, m))
+            qdeg.setdefault(h, []).append(circles - 2 * m.bit_count() + alpha.bit_count() + shift_q)
+    index = {h: {g: i for i, g in enumerate(v)} for h, v in basis.items()}
+    diff = {}
+    for h, gens in basis.items():
+        if h + 1 not in basis:
+            continue
+        entries = {}
+        for j, (alpha, mask) in enumerate(gens):
+            for c in range(cube.n):
+                if alpha >> c & 1:
+                    continue
+                beta = alpha | 1 << c
+                for coeff, out in cube.edge_terms(alpha, c, mask):
+                    entries[index[h + 1][beta, out], j] = signs[alpha, c] * coeff
+        diff[h] = IntMatrix(len(basis[h + 1]), len(gens), entries)
+    return basis, qdeg, diff
+
+
+def assert_matches_reference_assembly(cube):
+    cx = assemble_complex(cube)
+    basis, qdeg, diff = reference_assembly(cube, solve_sign_assignment(cube))
+    assert cx.degrees() == sorted(basis)
+    for h in cx.degrees():
+        assert list(cx.basis(h)) == basis[h]
+        assert list(cx.quantum_degrees(h)) == qdeg[h]
+        assert cx.differential(h) == diff.get(h, IntMatrix.zero(cx.dim(h + 1), cx.dim(h)))
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_assembly_matches_reference_on_corpus(theory):
+    for _, diagram in named_diagrams(8):
+        assert_matches_reference_assembly(build_cube(diagram, theory))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=7),
+    st.sampled_from(["x", "y"]),
+)
+def test_assembly_matches_reference_on_braid_closures(word, theory):
+    assert_matches_reference_assembly(build_cube(braid_closure(word, 3), theory))
+
+
 def test_unknot_complex_shape():
     c = unknot_complex()
     assert c.degrees() == [0]

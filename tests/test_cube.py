@@ -19,7 +19,7 @@ from oddkh.cube import (
 from oddkh.fixtures import braid_closure, rational_knot
 from oddkh.linalg import solve_gf2
 from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd
-from oddkh.oddtqft import compose
+from oddkh.oddtqft import compose, merge_map, split_map
 from oddkh.verify import named_diagrams
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -49,6 +49,44 @@ def test_edge_map_matches_streamed_terms():
         m = cube.edge_map(alpha, c)
         for mask in range(cube.space(alpha).dim):
             assert m.apply(mask) == tuple(cube.edge_terms(alpha, c, mask))
+
+
+def reference_edge_map(cube, alpha, c):
+    """One edge's map built from its own circle correspondence."""
+    e = cube.edge(alpha, c)
+    src, dst = cube.space(alpha), cube.space(alpha | 1 << c)
+    if e.kind == "merge":
+        return merge_map(src, dst, e.key_map)
+    return split_map(src, dst, e.parent, e.child0, e.child1, e.key_map)
+
+
+def assert_tables_match_edge_maps(cube):
+    for alpha, c in cube.edges():
+        table = cube.edge_table(alpha, c)
+        ref = reference_edge_map(cube, alpha, c)
+        assert len(table) == cube.space(alpha).dim
+        for mask, col in enumerate(table):
+            assert col == ref.apply(mask), (alpha, c, mask)
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_shape_tables_match_edge_maps_on_corpus(theory):
+    for name, diagram in named_diagrams(8):
+        cube = build_cube(diagram, theory)
+        assert_tables_match_edge_maps(cube)
+        if cube.n >= 6:
+            # Edges of one shape share one table.
+            shared = {id(cube.edge_table(*e)) for e in cube.edges()}
+            assert len(shared) < len(list(cube.edges())) // 4, name
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=7),
+    st.sampled_from(["x", "y"]),
+)
+def test_shape_tables_match_edge_maps_on_braid_closures(word, theory):
+    assert_tables_match_edge_maps(build_cube(braid_closure(word, 3), theory))
 
 
 def test_trefoil_base_faces_are_merge_chains():

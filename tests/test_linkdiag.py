@@ -16,6 +16,15 @@ from oddkh.linkdiag import (
     writhe,
 )
 
+from oddkh.fixtures import (
+    braid_closure,
+    poked_unlink,
+    rational_knot,
+    reidemeister_pairs,
+    torus_knot_8_19,
+)
+from oddkh.verify import named_diagrams
+
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 FIG8 = [[4, 2, 5, 1], [8, 6, 1, 5], [6, 3, 7, 4], [2, 7, 3, 8]]
 HOPF_POS = [[1, 3, 2, 4], [3, 1, 4, 2]]
@@ -53,6 +62,35 @@ def test_parse_rejects_bad_codes():
         parse_pd(TREFOIL, signs=[1, 1])  # wrong length
     with pytest.raises(ValueError):
         parse_pd(TREFOIL, signs=[1, 1, 1])  # contradicts inference
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        [[4, 2, 3, 1], [3, 1, 4, 2]],
+        [[1, 2, 1, 2]],
+        [[2, 2, 3, 1], [4, 1, 4, 3]],
+        [[3, 5, 4, 7], [1, 5, 2, 4], [8, 6, 1, 2], [6, 3, 8, 7]],
+        # A planar trefoil next to a non-planar piece.
+        TREFOIL + [[7, 8, 7, 8]],
+    ],
+    ids=["two-crossings", "one-crossing", "two-crossings-loop", "four-crossings", "one-bad-piece"],
+)
+def test_parse_rejects_non_planar_codes(code):
+    # Each of these builds a diagram; only the slot order is wrong.
+    LinkDiagram(code)
+    with pytest.raises(ValueError, match="not planar"):
+        parse_pd(code)
+
+
+def test_every_fixture_parses_as_planar():
+    diagrams = [d for _, d in named_diagrams(12)]
+    diagrams += [rational_knot((2, 1, 2, 2, 3)), torus_knot_8_19()]
+    diagrams += [braid_closure([-3, 2, -3, -1, -2, 3, 3, -1, -1, -2], 4)]
+    diagrams += [poked_unlink(v) for v in (1, -1)]
+    diagrams += [d for pair in reidemeister_pairs() for d in pair[1:]]
+    for d in diagrams:
+        assert parse_pd(diagram_to_dict(d)) == d
 
 
 def test_parse_free_circles_and_dict_roundtrip():
