@@ -83,22 +83,18 @@ def cmd_homology(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     t0 = time.perf_counter()
-    try:
-        cx = assemble_complex(build_cube(diagram, args.theory))
-        if args.coeff == "z":
-            rows = homology(cx).to_rows()
-        elif args.coeff == "z2":
-            table = reduce_coefficients(cx, 2)
-            rows = [{"h": h, "q": q, "dim": v} for (h, q), v in sorted(table.items())]
-        else:
-            rows = [
-                {"h": r["h"], "q": r["q"], "rank": r["rank"]}
-                for r in homology(cx).to_rows()
-                if r["rank"]
-            ]
-    except AssertionError as e:
-        print(f"internal invariant violated: {e}", file=sys.stderr)
-        return 2
+    cx = assemble_complex(build_cube(diagram, args.theory))
+    if args.coeff == "z":
+        rows = homology(cx).to_rows()
+    elif args.coeff == "z2":
+        table = reduce_coefficients(cx, 2)
+        rows = [{"h": h, "q": q, "dim": v} for (h, q), v in sorted(table.items())]
+    else:
+        rows = [
+            {"h": r["h"], "q": r["q"], "rank": r["rank"]}
+            for r in homology(cx).to_rows()
+            if r["rank"]
+        ]
     elapsed = time.perf_counter() - t0
     if args.json:
         _print_json(rows)
@@ -233,7 +229,13 @@ def main(argv=None) -> int:
             print(e.code, file=sys.stderr)
             return 1
         return 0 if not e.code else 1
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except AssertionError as e:
+        # Invariant checks raise AssertionError explicitly, so this
+        # holds under python -O as well.
+        print(f"internal invariant violated: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

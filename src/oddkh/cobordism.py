@@ -10,10 +10,14 @@ canonical sign choice unless a complex is passed in.  Conventions:
   so the band edge at the all-zero resolution is positive.  A band that
   joins two link components therefore acts with no signs at all.
 - Reidemeister 1 and 2 maps are strong deformation retractions: the
-  curl or bigon generators are eliminated pair by pair, and the
+  curl or bigon generators are paired along unit edge terms and
+  cancelled by Gaussian elimination, one differential at a time,
+  through the forced pivot order of ``linalg._eliminate_units``.  The
   survivors are matched onto the small complex with a per-vertex sign
   correction.  The output is deterministic, so repeated builds agree
   on the nose.
+- Internal invariants raise AssertionError explicitly, so they hold
+  under ``python -O`` too; bad caller input raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from .complexes import (
     is_chain_map,
 )
 from .cube import Cube, build_cube, extend_sign_assignment
-from .linalg import IntMatrix
+from .linalg import IntMatrix, _back_substitute, _eliminate_units
 from .linkdiag import (
     LinkDiagram,
+    _check_planar,
     add_free_circle,
     attach_band,
     delete_free_circle,
@@ -67,7 +72,7 @@ def _vertexwise(cx_src: ChainComplex, cx_dst: ChainComplex, q_shift: int, factor
     ``factor(alpha)`` returns (scalar, target vertex, TqftMap); the two
     vertices must sit in the same homological degree.  Masks are shared
     verbatim, which is sound exactly when the circle keys agree, so
-    factories assert that before handing maps over.
+    factories check that before handing maps over.
     """
     blocks: dict[int, dict] = {}
     for alpha in cx_src.cube.vertices():
@@ -75,7 +80,8 @@ def _vertexwise(cx_src: ChainComplex, cx_dst: ChainComplex, q_shift: int, factor
         if scalar == 0 or fm.is_zero():
             continue
         h = alpha.bit_count() - cx_src.n_minus
-        assert beta.bit_count() - cx_dst.n_minus == h
+        if beta.bit_count() - cx_dst.n_minus != h:
+            raise AssertionError(f"vertex {alpha} maps out of homological degree {h}")
         ent = blocks.setdefault(h, {})
         for mask, terms in fm.columns.items():
             j = cx_src.index(h, (alpha, mask))
@@ -83,7 +89,8 @@ def _vertexwise(cx_src: ChainComplex, cx_dst: ChainComplex, q_shift: int, factor
                 ent[cx_dst.index(h, (beta, out)), j] = scalar * coeff
     mats = {h: IntMatrix(cx_dst.dim(h), cx_src.dim(h), e) for h, e in blocks.items()}
     f = ChainMap(cx_src, cx_dst, mats, q_shift)
-    assert is_chain_map(f)
+    if not is_chain_map(f):
+        raise AssertionError("vertex maps do not commute with the differentials")
     return f
 
 
@@ -168,81 +175,71 @@ def saddle_cobordism_map(
         eps = {e: (-v if e[1] == site else v) for e, v in eps.items()}
 
     def factor(alpha):
-        assert aux.space(alpha).keys == cx.cube.space(alpha).keys
-        assert aux.space(alpha | bit).keys == dst.cube.space(alpha).keys
+        if aux.space(alpha).keys != cx.cube.space(alpha).keys:
+            raise AssertionError(f"band cube and source disagree on circles at {alpha}")
+        if aux.space(alpha | bit).keys != dst.cube.space(alpha).keys:
+            raise AssertionError(f"band cube and target disagree on circles at {alpha}")
         scalar = eps[alpha, site] * (-1 if alpha.bit_count() & 1 else 1)
         return scalar, alpha, aux.edge_map(alpha, site)
 
     return _vertexwise(cx, dst, -1, factor)
 
 
-def _axpy(dst: dict, coeff: int, src: dict) -> None:
-    for k, v in src.items():
-        w = dst.get(k, 0) + coeff * v
-        if w:
-            dst[k] = w
-        else:
-            dst.pop(k, None)
+def _retract(cx: ChainComplex, pairs):
+    """Gaussian elimination of unit pairs, as a strong deformation retraction.
 
-
-class _Retraction:
-    """Gaussian elimination over a complex, tracking the retraction data.
-
-    Generators are (degree, index) pairs into the original basis.
-    ``rows[x]`` is the functional giving the coefficient of survivor
-    ``x`` after projecting, ``cols[x]`` the chain included for ``x``,
-    both sparse over original indices in the same degree.  Eliminating
-    along a unit pivot applies the standard corrections; the composite
-    projection after inclusion stays the identity on survivors.
+    ``pairs`` lists (x, y) with x = (h, j) and y = (h + 1, i) original
+    generators joined by a unit differential entry.  A pair starting in
+    degree h changes only d_h, so each d_h is eliminated on its own,
+    pivoting on its pairs in the given order.  Rows of sources and
+    columns of targets eliminated in the neighbouring degrees are cut
+    from d_h first: no pivot row or survivor entry depends on them.
+    The inclusion of a survivor is the survivor plus eliminated sources,
+    chosen so that every pivot row of d_h vanishes on it; the projection
+    onto a survivor is the same solve on the transpose, over eliminated
+    targets.  Returns (include, project, diff): the inclusion chain and
+    the projection functional of each surviving generator, both sparse
+    over original indices of its degree, and the survivor differential
+    as {(x, y): entry}.
     """
+    forced: dict[int, list] = {}
+    sources: dict[int, set] = {}
+    targets: dict[int, set] = {}
+    for (h, j), (_, i) in pairs:
+        forced.setdefault(h, []).append((i, j))
+        sources.setdefault(h, set()).add(j)
+        targets.setdefault(h + 1, set()).add(i)
+    include: dict[tuple, dict] = {}
+    project: dict[tuple, dict] = {}
+    diff: dict[tuple, int] = {}
 
-    def __init__(self, cx: ChainComplex):
-        self.cx = cx
-        self.d: dict[tuple, dict] = {}
-        self.dT: dict[tuple, dict] = {}
-        self.rows: dict[tuple, dict] = {}
-        self.cols: dict[tuple, dict] = {}
-        for h in cx.degrees():
-            for j in range(cx.dim(h)):
-                self.rows[h, j] = {j: 1}
-                self.cols[h, j] = {j: 1}
-        for h in cx.degrees():
-            for (i, j), v in cx.differential(h).data.items():
-                self.d.setdefault((h, j), {})[h + 1, i] = v
-                self.dT.setdefault((h + 1, i), {})[h, j] = v
+    def solve(h, pivots, out):
+        # Seed each survivor of degree h with itself, then fill in the
+        # pivot coordinates; x maps a column to {survivor: coordinate}.
+        src, tgt = sources.get(h, ()), targets.get(h, ())
+        x = {j: {j: 1} for j in range(cx.dim(h)) if j not in src and j not in tgt}
+        for j in x:
+            out[h, j] = {}
+        _back_substitute(pivots, x)
+        for c, coords in x.items():
+            for j, v in coords.items():
+                out[h, j][c] = v
 
-    def entry(self, x, y) -> int:
-        return self.d.get(x, {}).get(y, 0)
-
-    def eliminate(self, x, y) -> None:
-        p = self.entry(x, y)
-        if p not in (1, -1):
-            raise AssertionError(f"pivot {p} at {x}->{y} is not a unit")
-        srcs = {r: v for r, v in self.dT.get(y, {}).items() if r != x}
-        tgts = {s: v for s, v in self.d.get(x, {}).items() if s != y}
-        for r, dyr in srcs.items():
-            _axpy(self.cols[r], -p * dyr, self.cols[x])
-            drow = self.d.setdefault(r, {})
-            for s, dsx in tgts.items():
-                w = drow.get(s, 0) - p * dyr * dsx
-                if w:
-                    drow[s] = w
-                    self.dT.setdefault(s, {})[r] = w
-                else:
-                    drow.pop(s, None)
-                    self.dT.get(s, {}).pop(r, None)
-        for s, dsx in tgts.items():
-            _axpy(self.rows[s], -p * dsx, self.rows[y])
-        self._drop(x)
-        self._drop(y)
-
-    def _drop(self, x) -> None:
-        for s in self.d.pop(x, {}):
-            self.dT[s].pop(x, None)
-        for r in self.dT.pop(x, {}):
-            self.d[r].pop(x, None)
-        del self.rows[x]
-        del self.cols[x]
+    degrees = cx.degrees()
+    solve(degrees[0], [], project)
+    for h in degrees:
+        order = forced.get(h, [])
+        pivot_cols, cut_rows, cut_cols = sources.get(h, ()), sources.get(h + 1, ()), targets.get(h, ())
+        d = cx.differential(h)
+        kept = {(i, j): v for (i, j), v in d.data.items() if i not in cut_rows and j not in cut_cols}
+        block, block_rows, block_cols, pivots, _ = _eliminate_units(IntMatrix(d.rows, d.cols, kept), order=order)
+        solve(h, pivots, include)
+        for (r, c), v in block.data.items():
+            diff[(h, block_cols[c]), (h + 1, block_rows[r])] = v
+        # On the transpose only the pivot rows are read back.
+        dual = IntMatrix(d.cols, d.rows, {(j, i): v for (i, j), v in kept.items() if j in pivot_cols})
+        solve(h + 1, _eliminate_units(dual, order=[(j, i) for i, j in order])[3], project)
+    return include, project, diff
 
 
 def _squeeze_bits(alpha: int, drop: tuple) -> int:
@@ -258,8 +255,8 @@ def _squeeze_bits(alpha: int, drop: tuple) -> int:
     return out
 
 
-def _finish(red: _Retraction, cx_small: ChainComplex, translate):
-    """Match the survivors of a reduction onto a small complex.
+def _finish(cx_big: ChainComplex, pairs, cx_small: ChainComplex, translate):
+    """Retract along ``pairs`` and match the survivors onto a small complex.
 
     ``translate`` sends a surviving (alpha, mask) generator of the big
     complex to its small counterpart.  The survivor differential must
@@ -267,15 +264,16 @@ def _finish(red: _Retraction, cx_small: ChainComplex, translate):
     propagated from the all-zero vertex and then the match is checked
     entry by entry.  Returns (include, project) chain maps.
     """
-    cx_big = red.cx
+    incl, proj, diff = _retract(cx_big, pairs)
     to_small: dict[tuple, tuple] = {}
     to_big: dict[tuple, tuple] = {}
-    for x in red.rows:
+    for x in proj:
         h, i = x
         gen_s = translate(*cx_big.basis(h)[i])
         to_small[x] = gen_s
         to_big[gen_s] = (h, x)
-    assert len(to_big) == sum(cx_small.dim(h) for h in cx_small.degrees())
+    if len(to_big) != sum(cx_small.dim(h) for h in cx_small.degrees()):
+        raise AssertionError("survivors and small generators differ in number")
 
     eta = {0: 1}
     for beta in sorted(cx_small.cube.vertices(), key=lambda a: a.bit_count()):
@@ -287,8 +285,9 @@ def _finish(red: _Retraction, cx_small: ChainComplex, translate):
         small_val = cx_small.signs[alpha, c] * coeff
         _, x = to_big[alpha, 0]
         _, y = to_big[beta, out]
-        big_val = red.entry(x, y)
-        assert abs(big_val) == abs(small_val)
+        big_val = diff.get((x, y), 0)
+        if abs(big_val) != abs(small_val):
+            raise AssertionError(f"survivor edge {big_val} does not match {small_val} at vertex {beta}")
         eta[beta] = (big_val // small_val) * eta[alpha]
 
     expected: dict[tuple, int] = {}
@@ -298,12 +297,11 @@ def _finish(red: _Retraction, cx_small: ChainComplex, translate):
         for (i, j), v in cx_small.differential(h).data.items():
             expected[gens[j], tgts[i]] = v
     actual: dict[tuple, int] = {}
-    for x, row in red.d.items():
-        gs = to_small[x]
-        for y, v in row.items():
-            gt = to_small[y]
-            actual[gs, gt] = v * eta[gs[0]] * eta[gt[0]]
-    assert actual == expected, "survivor differential does not match the small complex"
+    for (x, y), v in diff.items():
+        gs, gt = to_small[x], to_small[y]
+        actual[gs, gt] = v * eta[gs[0]] * eta[gt[0]]
+    if actual != expected:
+        raise AssertionError("survivor differential does not match the small complex")
 
     proj_blocks: dict[int, dict] = {}
     incl_blocks: dict[int, dict] = {}
@@ -311,10 +309,10 @@ def _finish(red: _Retraction, cx_small: ChainComplex, translate):
         sgn = eta[gs[0]]
         si = cx_small.index(h, gs)
         pb = proj_blocks.setdefault(h, {})
-        for j, v in red.rows[x].items():
+        for j, v in proj[x].items():
             pb[si, j] = sgn * v
         ib = incl_blocks.setdefault(h, {})
-        for j, v in red.cols[x].items():
+        for j, v in incl[x].items():
             ib[j, si] = sgn * v
     project = ChainMap(
         cx_big,
@@ -326,8 +324,10 @@ def _finish(red: _Retraction, cx_small: ChainComplex, translate):
         cx_big,
         {h: IntMatrix(cx_big.dim(h), cx_small.dim(h), e) for h, e in incl_blocks.items()},
     )
-    assert is_chain_map(project) and is_chain_map(include)
-    assert compose(project, include) == identity_chain_map(cx_small)
+    if not (is_chain_map(project) and is_chain_map(include)):
+        raise AssertionError("retraction maps are not chain maps")
+    if compose(project, include) != identity_chain_map(cx_small):
+        raise AssertionError("projection after inclusion is not the identity")
     return include, project
 
 
@@ -386,34 +386,30 @@ def kink_retraction(big_cx: ChainComplex, crossing: int, small_cx: ChainComplex 
                 for coeff, out in cube.edge_terms(alpha, crossing, mask)
                 if curl_bit == 0 or out & (1 << cube.space(alpha | bit).pos[loop])
             ]
-            assert len(terms) == 1 and abs(terms[0][0]) == 1
+            if len(terms) != 1 or abs(terms[0][0]) != 1:
+                raise AssertionError(f"curl edge at {alpha} is not one unit term")
             x = (h, big_cx.index(h, (alpha, mask)))
             y = (h + 1, big_cx.index(h + 1, (alpha | bit, terms[0][1])))
             pairs.append((x, y))
 
-    red = _Retraction(big_cx)
-    for x, y in pairs:
-        red.eliminate(x, y)
-
     kept_bit = curl_bit
-    small_nm = small_cx.n_minus
 
     def translate(alpha, mask):
-        assert (alpha >> crossing & 1) == kept_bit
+        if (alpha >> crossing & 1) != kept_bit:
+            raise AssertionError(f"survivor at {alpha} lies off the kept slice")
         sp = cube.space(alpha)
-        assert sp.keys[-1] == loop, "curl key must be the top generator"
-        assert small_cx.cube.space(_squeeze_bits(alpha, (crossing,))).keys == sp.keys[:-1]
+        small_alpha = _squeeze_bits(alpha, (crossing,))
+        if sp.keys[-1] != loop or small_cx.cube.space(small_alpha).keys != sp.keys[:-1]:
+            raise AssertionError("curl key must be the top generator over the small circles")
         lbit = 1 << sp.pos[loop]
-        if kept_bit == 0:
-            assert mask & lbit
-            mask ^= lbit
-        else:
-            assert not mask & lbit
-        return _squeeze_bits(alpha, (crossing,)), mask
+        if bool(mask & lbit) != (kept_bit == 0):
+            raise AssertionError(f"survivor {mask} at {alpha} has the wrong curl factor")
+        return small_alpha, mask & ~lbit
 
     # degree bookkeeping: the kept slice and the small complex agree.
-    assert big_cx.n_minus - small_nm == (1 if curl_bit == 1 else 0)
-    return _finish(red, small_cx, translate)
+    if big_cx.n_minus - small_cx.n_minus != curl_bit:
+        raise AssertionError("the kept slice and the small complex differ in degree")
+    return _finish(big_cx, pairs, small_cx, translate)
 
 
 def r1_cobordism_map(
@@ -553,7 +549,8 @@ def bigon_retraction(big_cx: ChainComplex, arcs: tuple, small_cx: ChainComplex |
                 for c, out in cube.edge_terms(alpha, k_to_lens, mask)
                 if out & lbit
             ]
-            assert len(terms) == 1 and abs(terms[0][0]) == 1
+            if len(terms) != 1 or abs(terms[0][0]) != 1:
+                raise AssertionError(f"lens edge at {alpha} is not one unit term")
             x = (h, big_cx.index(h, (alpha, mask)))
             y = (h + 1, big_cx.index(h + 1, (alpha | v_lens, terms[0][1])))
             pairs.append((x, y))
@@ -563,25 +560,24 @@ def bigon_retraction(big_cx: ChainComplex, arcs: tuple, small_cx: ChainComplex |
             if mask & lbit:
                 continue
             terms = cube.edge_terms(alpha | v_lens, k_to_full, mask)
-            assert len(terms) == 1 and abs(terms[0][0]) == 1
+            if len(terms) != 1 or abs(terms[0][0]) != 1:
+                raise AssertionError(f"merge into the lens at {alpha} is not one unit term")
             x = (h + 1, big_cx.index(h + 1, (alpha | v_lens, mask)))
             y = (h + 2, big_cx.index(h + 2, (alpha | pair_bits, terms[0][1])))
             pairs.append((x, y))
-
-    red = _Retraction(big_cx)
-    for x, y in pairs:
-        red.eliminate(x, y)
 
     v_braid = braid[0] << k1 | braid[1] << k2
     drop = tuple(sorted((k1, k2)))
 
     def translate(alpha, mask):
-        assert (alpha & pair_bits) == v_braid
         small_alpha = _squeeze_bits(alpha, drop)
-        assert small_cx.cube.space(small_alpha).keys == cube.space(alpha).keys
+        if (alpha & pair_bits) != v_braid:
+            raise AssertionError(f"survivor at {alpha} lies off the braid smoothing")
+        if small_cx.cube.space(small_alpha).keys != cube.space(alpha).keys:
+            raise AssertionError(f"braid smoothing and small complex disagree on circles at {alpha}")
         return small_alpha, mask
 
-    return _finish(red, small_cx, translate)
+    return _finish(big_cx, pairs, small_cx, translate)
 
 
 def r2_cobordism_map(cx: ChainComplex, arcs: tuple, direction: str = "do") -> ChainMap:
@@ -596,11 +592,12 @@ def r2_cobordism_map(cx: ChainComplex, arcs: tuple, direction: str = "do") -> Ch
         over_arc, under_arc = arcs
         poked, mids = build_poke(cx.cube.diagram, over_arc, under_arc)
         try:
-            big = assemble_complex(build_cube(poked, cx.cube.theory))
-        except AssertionError as e:
+            _check_planar(poked)
+        except ValueError as e:
             raise ValueError(
                 f"no planar poke of {over_arc} over {under_arc} with this handedness"
             ) from e
+        big = assemble_complex(build_cube(poked, cx.cube.theory))
         include, _ = bigon_retraction(big, mids, cx)
         return include
     if direction == "undo":
@@ -632,7 +629,8 @@ def relabel_chain_iso(cxa: ChainComplex, cxb: ChainComplex, arc_map: dict) -> Ch
         for idx in range(ra.n_circles):
             image = {arc_map[x] for x in ra.circle_arcs(idx)}
             key_map[ra.circle_key(idx)] = min(image)
-        assert sorted(key_map.values()) == sorted(rb.circle_key(i) for i in range(rb.n_circles))
+        if sorted(key_map.values()) != sorted(rb.circle_key(i) for i in range(rb.n_circles)):
+            raise ValueError(f"arc map does not carry circles onto circles at vertex {alpha}")
         vmaps[alpha] = relabel_map(cxa.cube.space(alpha), cxb.cube.space(alpha), key_map)
 
     eta = {0: 1}
@@ -647,7 +645,8 @@ def relabel_chain_iso(cxa: ChainComplex, cxb: ChainComplex, arc_map: dict) -> Ch
         coeff_l, out_l = left.columns[mask][0]
         coeff_r = next(v for v, o in right.columns[mask] if o == out_l)
         ratio = coeff_l * coeff_r
-        assert ratio in (1, -1) and left == right.scale(ratio)
+        if ratio not in (1, -1) or left != right.scale(ratio):
+            raise AssertionError(f"relabeled edge maps differ by more than a sign at {beta}")
         eta[beta] = ratio * eta[alpha]
 
     blocks: dict[int, dict] = {}
@@ -659,7 +658,8 @@ def relabel_chain_iso(cxa: ChainComplex, cxb: ChainComplex, arc_map: dict) -> Ch
             for coeff, out in terms:
                 ent[cxb.index(h, (alpha, out)), j] = eta[alpha] * coeff
     iso = ChainMap(cxa, cxb, {h: IntMatrix(cxb.dim(h), cxa.dim(h), e) for h, e in blocks.items()})
-    assert is_chain_map(iso)
+    if not is_chain_map(iso):
+        raise AssertionError("relabeling does not commute with the differentials")
     return iso
 
 
@@ -747,7 +747,8 @@ def evaluate_movie(initial, events, theory: str = "y") -> MovieResult:
     """Compose the chain maps of a movie script left to right.
 
     ``initial`` is a diagram or an already assembled complex.  Failures
-    carry the index of the offending event.
+    carry the index of the offending event, except a violated internal
+    invariant, whose AssertionError passes through unchanged.
     """
     if isinstance(initial, ChainComplex):
         cx = initial
@@ -758,7 +759,7 @@ def evaluate_movie(initial, events, theory: str = "y") -> MovieResult:
     for idx, event in enumerate(events):
         try:
             step = apply_event(total.dst, event)
-        except MovieError:
+        except (MovieError, AssertionError):
             raise
         except Exception as e:
             raise MovieError(idx, event, e) from e

@@ -33,8 +33,6 @@ __all__ = [
     "solve_sign_assignment",
     "enumerate_sign_assignments",
     "extend_sign_assignment",
-    "fast_sign_assignment",
-    "verify_sign_assignment",
 ]
 
 
@@ -416,7 +414,7 @@ def solve_sign_assignment(cube: Cube) -> dict:
     GF(2) gives, with the edges in (vertex, crossing) order as variables
     and free variables set to +1: a function of the cube alone.  It is
     built without the elimination.  Each face is classified once, the
-    doubling of ``fast_sign_assignment`` gives the candidate, and the
+    doubling of ``_doubled_signs`` gives the candidate, and the
     candidate is checked on every face.  Coherent signs form one orbit
     of the vertex gauge eps(alpha, c) -> g(alpha) eps(alpha, c)
     g(alpha + c).  Under lowest-bit elimination the free variables are
@@ -494,28 +492,3 @@ def extend_sign_assignment(cube: Cube, pinned: dict) -> dict:
     wrong parity.
     """
     return _canonical_signs(cube, _face_sigmas(cube), pinned, "pinned signs admit no coherent completion")
-
-
-def fast_sign_assignment(cube: Cube) -> dict:
-    """Coherent signs built by doubling one crossing at a time.
-
-    Edges along the new direction all get +1 and each copied edge picks
-    up the sign that closes its mixed face.  Faces inside the copied
-    half then close themselves, because every 3-cube carries an even
-    number of sign-reversing faces.  It classifies only the faces the
-    doubling reads and skips both the check of every face and the gauge
-    fix onto the canonical answer, so it differs from
-    ``solve_sign_assignment`` by a vertex gauge.
-    """
-    return _doubled_signs(cube, lambda a, c1, c2: classify_face(cube, a, c1, c2).sigma)
-
-
-def verify_sign_assignment(cube: Cube, eps: dict) -> bool:
-    """Whether the signed paths around every face cancel."""
-    for alpha, c1, c2 in cube.faces():
-        prod = 1
-        for e in face_edges(alpha, c1, c2):
-            prod *= eps[e]
-        if prod * classify_face(cube, alpha, c1, c2).sigma != -1:
-            return False
-    return True

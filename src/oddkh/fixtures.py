@@ -135,7 +135,8 @@ def _emit(raw, n_free):
     for ci, (rays, over) in enumerate(raw):
         u1, u2 = ("nw", "se") if over == "swne" else ("sw", "ne")
         start = u1 if heads[rays[u1]] == (ci, u1) else u2
-        assert heads[rays[start]] == (ci, start)
+        if heads[rays[start]] != (ci, start):
+            raise AssertionError(f"crossing {ci} has no incoming under strand")
         i = _CCW.index(start)
         crossings.append(tuple(rays[_CCW[(i + k) % 4]] for k in range(4)))
     base = max((a for c in crossings for a in c), default=0)

@@ -5,7 +5,9 @@ decisions) reduces to the operations exported here.  Every integer
 computation (elementary divisors and the integer and mod-p ranks read
 off them, solves, kernels, cokernels) runs one sparse elimination that
 cancels unit (+-1) pivots, then Smith normal form on the block left
-over; U, V and V^-1 are built for that block only.  The GF(2)
+over; U, V and V^-1 are built for that block only.  The same
+elimination, on a forced pivot order, gives the Reidemeister
+retractions of ``cobordism``.  The GF(2)
 solver on bitmask rows serves only the enumeration of every coherent
 edge-sign choice of a cube.  Matrices are sparse dictionaries of
 arbitrary-precision Python integers; there is no floating point
@@ -28,7 +30,6 @@ __all__ = [
     "elementary_divisors",
     "integer_inverse",
     "solve_gf2",
-    "gf2_rank",
     "modp_rank",
 ]
 
@@ -429,15 +430,44 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     return SnfResult(D=D, U=U, V=V, diagonal=diagonal)
 
 
-def _eliminate_units(A: IntMatrix, b: list[int] | None = None):
+def _markowitz(rows, cols, heap):
+    """Pivots for ``_eliminate_units`` in Markowitz order, chosen lazily.
+
+    Kept out of the elimination's body so that the body's hot locals do
+    not become closure cells.
+    """
+    while heap:
+        n, r = heapq.heappop(heap)
+        row = rows.get(r)
+        # Stale entry; a changed row was pushed again with its new length.
+        if row is None or len(row) != n:
+            continue
+        units = [c for c, v in row.items() if v == 1 or v == -1]
+        if units:
+            yield r, min(units, key=lambda k: len(cols[k]))
+
+
+def _forced(rows, order):
+    """The given pivots, each checked to be a unit when its turn comes."""
+    for r, c in order:
+        p = rows[r].get(c) if r in rows else None
+        if p != 1 and p != -1:
+            raise AssertionError(f"pivot {p} at ({r}, {c}) is not a unit")
+        yield r, c
+
+
+def _eliminate_units(A: IntMatrix, b: list[int] | None = None, order=None):
     """Cancel the unit (+-1) pivots of A by integer row operations.
 
     Rows are dicts, and each column keeps the set of rows that use it.
-    Pivots are picked Markowitz-style: the shortest row holding a unit
-    first, then within that row the unit whose column has the fewest
-    nonzeros, which keeps fill-in low.  A pivot row clears its column
-    from every other row; the right-hand side ``b``, when given, follows
-    the same row operations.
+    Without ``order``, pivots are picked Markowitz-style: the shortest
+    row holding a unit first, then within that row the unit whose
+    column has the fewest nonzeros, which keeps fill-in low.  With
+    ``order``, a list of (row, col) pairs, exactly those pivots are
+    taken, in that order; each must be a unit when its turn comes, or
+    AssertionError is raised.  A pivot row clears its column from every
+    other row; the right-hand side ``b``, when given, follows the same
+    row operations.
 
     Returns
     -------
@@ -457,21 +487,12 @@ def _eliminate_units(A: IntMatrix, b: list[int] | None = None):
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
     rhs = list(b) if b is not None else None
-    heap = [(len(row), r) for r, row in rows.items()]
+    heap = [(len(row), r) for r, row in rows.items()] if order is None else []
     heapq.heapify(heap)
     pivots: list[tuple[int, int, dict[int, int]]] = []
-    while heap:
-        n, r = heapq.heappop(heap)
-        row = rows.get(r)
-        # Stale entry; a changed row was pushed again with its new length.
-        if row is None or len(row) != n:
-            continue
-        units = [c for c, v in row.items() if v == 1 or v == -1]
-        if not units:
-            continue
-        c = min(units, key=lambda k: len(cols[k]))
+    for r, c in _markowitz(rows, cols, heap) if order is None else _forced(rows, order):
+        row = rows.pop(r)
         p = row[c]
-        del rows[r]
         for k in row:
             cols[k].discard(r)
         for r2 in cols.pop(c):
@@ -490,6 +511,8 @@ def _eliminate_units(A: IntMatrix, b: list[int] | None = None):
                     cols[k].discard(r2)
             if rhs is not None:
                 rhs[r2] -= m * rhs[r]
+            # A changed row goes back on the Markowitz heap with its new
+            # length; a forced order never reads the heap.
             if other:
                 heapq.heappush(heap, (len(other), r2))
         pivots.append((r, c, row))
@@ -720,20 +743,6 @@ def _gf2_nullspace(pivots: dict[int, int], ncols: int) -> list[int]:
                 vec |= 1 << col
         basis.append(vec)
     return basis
-
-
-def gf2_rank(rows: list[int]) -> int:
-    """Rank of a GF(2) matrix given as bitmask rows."""
-    pivots: dict[int, int] = {}
-    for w in rows:
-        while w:
-            col = (w & -w).bit_length() - 1
-            if col in pivots:
-                w ^= pivots[col]
-            else:
-                pivots[col] = w
-                break
-    return len(pivots)
 
 
 def modp_rank(A: IntMatrix, p: int) -> int:

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import oddkh
+from oddkh import cobordism as cobordism_module
 from oddkh import cube as cube_module
+from oddkh import verify as verify_module
 from oddkh.cli import main
-from oddkh.cobordism import r2_event, saddle_event, script_to_dict
+from oddkh.cobordism import evaluate_movie, r2_event, saddle_event, script_to_dict
 from oddkh.complexes import assemble_complex, homology, reduce_coefficients
 from oddkh.cube import build_cube
 from oddkh.fixtures import figure_eight, prime_knot, rational_knot, unlink
@@ -121,6 +123,72 @@ def test_homology_exits_2_on_a_corrupted_edge_table_under_optimize(tmp_path):
     )
     assert run.returncode == 2, run.stderr
     assert "internal invariant violated: d^2 != 0" in run.stderr and not run.stdout
+
+
+def corrupt_retraction(original):
+    """A ``_retract`` that negates one correction term of a projection.
+
+    Projection after inclusion stays the identity, so only the chain map
+    check of the finished retraction can catch it.
+    """
+
+    def retract(cx, pairs):
+        include, project, diff = original(cx, pairs)
+        x, functional = next((x, f) for x, f in project.items() if len(f) > 1)
+        j = next(j for j in functional if j != x[1])
+        functional[j] = -functional[j]
+        return include, project, diff
+
+    return retract
+
+
+def r2_movie(tmp_path):
+    path = tmp_path / "movie.json"
+    path.write_text(json.dumps(script_to_dict(unlink(2), [r2_event(1, 2)])))
+    return path
+
+
+def test_movie_exits_2_on_a_corrupted_retraction(tmp_path, capsys, monkeypatch):
+    path = r2_movie(tmp_path)
+    original = cobordism_module._retract
+    monkeypatch.setattr(cobordism_module, "_retract", corrupt_retraction(original))
+    # The invariant failure is not wrapped as a bad movie event.
+    with pytest.raises(AssertionError, match="not chain maps"):
+        evaluate_movie(unlink(2), [r2_event(1, 2)])
+    assert main(["movie", str(path)]) == 2
+    out = capsys.readouterr()
+    assert "internal invariant violated: retraction maps are not chain maps" in out.err
+    assert not out.out
+
+
+def test_movie_exits_2_on_a_corrupted_retraction_under_optimize(tmp_path):
+    path = r2_movie(tmp_path)
+    script = (
+        "import sys\n"
+        "if sys.flags.optimize != 1: sys.exit(3)\n"
+        "from oddkh import cobordism\n"
+        "from test_cli import corrupt_retraction\n"
+        "cobordism._retract = corrupt_retraction(cobordism._retract)\n"
+        "from oddkh.cli import main\n"
+        f"sys.exit(main(['movie', {str(path)!r}]))\n"
+    )
+    paths = [str(Path(oddkh.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 2, run.stderr
+    assert "internal invariant violated: retraction maps are not chain maps" in run.stderr
+    assert not run.stdout
+
+
+def test_verify_exits_2_when_a_check_fails(capsys, monkeypatch):
+    original = verify_module.enumerate_sign_assignments
+    monkeypatch.setattr(verify_module, "enumerate_sign_assignments", lambda cube: original(cube)[1:])
+    assert main(["verify", "signs"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL count_one_crossing: 1 coherent assignments, expected 2" in out
+    assert "PASS sign_choice_trefoil_left" in out
 
 
 def test_homology_rejects_unreadable_file(tmp_path, capsys):

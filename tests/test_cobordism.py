@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddkh import cobordism
 from oddkh.complexes import (
     assemble_complex,
     compose,
@@ -375,6 +376,41 @@ def test_poked_diagram_has_two_destinations():
     assert across.dst.cube.diagram == unlink(2)
     assert compose(back, do) == identity_chain_map(cx)
     assert compose(across, do) != identity_chain_map(cx)
+
+
+RETRACTIONS = {
+    "r1-positive-trefoil": lambda: r1_cobordism_map(cx_of(left_trefoil()), 1, 1, "do"),
+    "r1-negative-left-hopf": lambda: r1_cobordism_map(cx_of(hopf_link(1)), 2, -1, "do", "left"),
+    "r2-unlink": lambda: r2_cobordism_map(cx_of(unlink(2)), (1, 2), "do"),
+    "r2-trefoil": lambda: r2_cobordism_map(cx_of(left_trefoil()), (1, 4), "do"),
+}
+
+
+@pytest.mark.parametrize("move", list(RETRACTIONS))
+def test_retraction_maps_lie_on_survivors_and_eliminated_generators(monkeypatch, move):
+    seen = []
+    original = cobordism._retract
+
+    def spy(cx, pairs):
+        out = original(cx, pairs)
+        seen.append((pairs, out))
+        return out
+
+    monkeypatch.setattr(cobordism, "_retract", spy)
+    RETRACTIONS[move]()
+    [(pairs, (include, project, _))] = seen
+    sources = {x for x, _ in pairs}
+    targets = {y for _, y in pairs}
+    assert include.keys() == project.keys()
+    assert not include.keys() & (sources | targets)
+    for (h, i), chain in include.items():
+        assert chain[i] == 1
+        assert all(j == i or (h, j) in sources for j in chain)
+    for (h, i), functional in project.items():
+        assert functional[i] == 1
+        assert all(j == i or (h, j) in targets for j in functional)
+    # The corrections are not all empty.
+    assert any(len(v) > 1 for v in [*include.values(), *project.values()])
 
 
 # chronology of disjoint events

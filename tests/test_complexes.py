@@ -23,7 +23,8 @@ from oddkh.complexes import (
     verify_differential_squares,
     zero_chain_map,
 )
-from oddkh.cube import build_cube, enumerate_sign_assignments, fast_sign_assignment, solve_sign_assignment
+from oddkh import cube as cube_module
+from oddkh.cube import build_cube, classify_face, enumerate_sign_assignments, solve_sign_assignment
 from oddkh.fixtures import braid_closure, rational_knot
 from oddkh.linalg import IntMatrix, smith_normal_form, solve_integer
 from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd
@@ -137,7 +138,8 @@ def test_assembly_validates_many_diagrams():
     for code in (TREFOIL, FIG8, HOPF_POS, POKE):
         cube = build_cube(parse_pd(code))
         assemble_complex(cube)
-        assemble_complex(cube, fast_sign_assignment(cube))
+        doubled = cube_module._doubled_signs(cube, lambda *face: classify_face(cube, *face).sigma)
+        assemble_complex(cube, doubled)
 
 
 def test_streaming_square_check():
@@ -182,7 +184,7 @@ def connecting_vertex_signs(cube, eps1, eps2):
 def test_two_assignments_differ_by_a_diagonal_isomorphism():
     cube = build_cube(parse_pd(TREFOIL))
     eps1 = solve_sign_assignment(cube)
-    eps2 = fast_sign_assignment(cube)
+    eps2 = enumerate_sign_assignments(cube)[-1]
     c1 = assemble_complex(cube, eps1)
     c2 = assemble_complex(cube, eps2)
     eta = connecting_vertex_signs(cube, eps1, eps2)

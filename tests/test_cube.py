@@ -12,9 +12,7 @@ from oddkh.cube import (
     enumerate_sign_assignments,
     extend_sign_assignment,
     face_edges,
-    fast_sign_assignment,
     solve_sign_assignment,
-    verify_sign_assignment,
 )
 from oddkh.fixtures import braid_closure, rational_knot
 from oddkh.linalg import solve_gf2
@@ -29,6 +27,22 @@ HOPF_POS = [[1, 3, 2, 4], [3, 1, 4, 2]]
 POKE = [[4, 1, 2, 3], [2, 1, 4, 3]]
 
 ALL_TAGS = {"i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"}
+
+
+def verify_sign_assignment(cube, eps):
+    """Whether the signed paths around every face cancel."""
+    for alpha, c1, c2 in cube.faces():
+        prod = 1
+        for e in face_edges(alpha, c1, c2):
+            prod *= eps[e]
+        if prod * classify_face(cube, alpha, c1, c2).sigma != -1:
+            return False
+    return True
+
+
+def doubled_signs(cube):
+    """The unchecked doubling candidate, before the gauge fix."""
+    return cube_module._doubled_signs(cube, lambda *face: classify_face(cube, *face).sigma)
 
 
 def test_edge_kinds_follow_circle_counts():
@@ -186,14 +200,6 @@ def test_verify_rejects_a_flipped_edge():
     assert not verify_sign_assignment(cube, eps)
 
 
-def test_fast_assignment_is_valid():
-    for code in (TREFOIL, FIG8, POKE, HOPF_POS):
-        cube = build_cube(parse_pd(code))
-        eps = fast_sign_assignment(cube)
-        assert set(eps) == set(cube.edges())
-        assert verify_sign_assignment(cube, eps)
-
-
 def test_extend_respects_pins():
     cube = build_cube(parse_pd(TREFOIL))
     target = enumerate_sign_assignments(cube)[-1]
@@ -220,7 +226,7 @@ def test_extend_rejects_incoherent_pins():
 def test_kinked_unknot_sign_systems(signs):
     cube = build_cube(kinked_unknot(signs))
     assert verify_sign_assignment(cube, solve_sign_assignment(cube))
-    assert verify_sign_assignment(cube, fast_sign_assignment(cube))
+    assert verify_sign_assignment(cube, doubled_signs(cube))
 
 
 def gf2_reference(cube, pinned=None, negated=frozenset()):

@@ -8,7 +8,6 @@ from oddkh.linalg import (
     IntMatrix,
     _eliminate_units,
     elementary_divisors,
-    gf2_rank,
     integer_cokernel,
     integer_kernel,
     integer_rank,
@@ -204,6 +203,35 @@ def test_solve_integer_with_leftover_block():
             assert a.apply(x) == b
 
 
+def test_forced_pivots_come_out_in_the_given_order():
+    a = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    # Markowitz would start at (0, 0); the forced order starts elsewhere.
+    assert [(r, c) for r, c, _ in _eliminate_units(a)[3]][0] == (0, 0)
+    order = [(2, 2), (0, 0)]
+    block, block_rows, block_cols, pivots, _ = _eliminate_units(a, order=order)
+    assert [(r, c) for r, c, _ in pivots] == order
+    assert (block_rows, block_cols) == ([1], [1]) and block.to_rows() == [[-2]]
+    # The forced elimination is unimodular too, so the divisors agree.
+    tail = tuple(d for d in smith_normal_form(block).diagonal if d)
+    assert (1,) * len(pivots) + tail == elementary_divisors(a)
+
+
+@pytest.mark.parametrize(
+    "rows,order",
+    [
+        ([[2, 1], [1, 1]], [(0, 0)]),
+        # a unit at the start that fill-in turns into -2 by its turn
+        ([[1, 1], [1, -1]], [(0, 0), (1, 1)]),
+        ([[1, 0], [0, 1]], [(0, 1)]),
+        ([[1, 1], [0, 1]], [(0, 0), (0, 1)]),
+    ],
+    ids=["not-a-unit", "filled-in", "zero", "row-used"],
+)
+def test_forced_pivot_must_be_a_unit_at_its_turn(rows, order):
+    with pytest.raises(AssertionError, match="not a unit"):
+        _eliminate_units(IntMatrix.from_rows(rows), order=order)
+
+
 def test_elementary_divisors_match_snf():
     rng = random.Random(4411)
     for _ in range(200):
@@ -351,13 +379,8 @@ def test_solve_gf2_roundtrip(nrows, ncols, data):
     for v in null:
         for r in rows:
             assert bin(r & v).count("1") % 2 == 0
-    assert len(null) == ncols - gf2_rank(rows)
-
-
-def test_gf2_rank():
-    assert gf2_rank([]) == 0
-    assert gf2_rank([0b101, 0b011, 0b110]) == 2
-    assert gf2_rank([0b1, 0b10, 0b100]) == 3
+    bits = {(i, j): 1 for i, r in enumerate(rows) for j in range(ncols) if r >> j & 1}
+    assert len(null) == ncols - modp_rank(IntMatrix(nrows, ncols, bits), 2)
 
 
 def test_modp_rank_gf2_path():
