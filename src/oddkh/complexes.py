@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cube import Cube, solve_sign_assignment
+from .cube import Cube, _first_failing_face, _first_wrong_table, solve_sign_assignment
 from .linalg import IntMatrix, elementary_divisors, integer_cokernel, integer_kernel, solve_integer
 
 __all__ = [
@@ -101,10 +101,11 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     differential is built vertex by vertex and edge by edge from the
     cube's shared edge tables, placing entries through each vertex's
     offset into its chain group, and finished before the next degree
-    starts.  The result is validated: every differential entry must
-    preserve quantum degree and d squared must vanish, so any
-    face-classification or sign error surfaces here rather than in a
-    homology answer.
+    starts.  The result is validated (see ``_validate``): d squared
+    vanishes face by face, every shape table is its saddle map, entries
+    preserve quantum degree and each sits where its edge puts it, so any
+    face-classification, table, sign or placement error surfaces here
+    rather than in a homology answer.
     """
     if signs is None:
         signs = solve_sign_assignment(cube)
@@ -154,45 +155,82 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
 
 
 def _validate(c: ChainComplex) -> None:
-    for h in c.degrees():
-        d = c._diff.get(h)
-        if d is None:
-            continue
-        qs = c.quantum_degrees(h)
-        qt = c.quantum_degrees(h + 1)
-        for i, j in d.data:
+    """Raise AssertionError unless the complex is the signed cube, with d^2 = 0.
+
+    Four checks, none of which multiplies differentials:
+
+    - d^2 vanishes on every face (``cube._first_failing_face``): the
+      two path composites agree up to the face's sign on every monomial,
+      once per face key and cube, and the signs have the right parity on
+      each face, one product per face;
+    - every shape table equals the merge or split map built from its
+      circles (``cube._first_wrong_table``), once per shape and cube;
+    - every entry preserves quantum degree;
+    - every entry lies on a cube edge and equals that edge's sign times
+      its table coefficient, and each degree has as many entries as the
+      tables of its edges have terms, so none was dropped or overwritten.
+
+    Together the first and last give d^2 = 0 for the matrices
+    themselves.
+    """
+    cube = c.cube
+    face = _first_failing_face(cube, c.signs)
+    if face is not None:
+        raise AssertionError(f"d^2 != 0 on face {face}")
+    edge = _first_wrong_table(cube)
+    if edge is not None:
+        raise AssertionError(f"edge table differs from its saddle map at edge {edge}")
+    terms: dict[int, int] = {}
+    for h, d in c._diff.items():
+        src, dst = c.basis(h), c.basis(h + 1)
+        qs, qt = c.quantum_degrees(h), c.quantum_degrees(h + 1)
+        # For each vertex of degree h, its edges by target vertex.
+        edges: dict[int, dict] = {}
+        expected = 0
+        for alpha in dict.fromkeys(a for a, _ in src):
+            out = edges[alpha] = {}
+            for k in range(cube.n):
+                if alpha >> k & 1:
+                    continue
+                i = cube.edge_shape(alpha, k)
+                n = terms.get(i)
+                if n is None:
+                    n = terms[i] = sum(map(len, cube.edge_table(alpha, k)))
+                expected += n
+                out[alpha | 1 << k] = (c.signs[alpha, k], cube.edge_table(alpha, k))
+        last = -1
+        for (i, j), v in d.data.items():
+            if j != last:
+                last = j
+                alpha, mask = src[j]
+                out = edges[alpha]
             if qt[i] != qs[j]:
                 raise AssertionError("differential entry changes quantum degree")
-        nxt = c._diff.get(h + 1)
-        if nxt is not None and (nxt * d).data:
-            raise AssertionError("d^2 != 0")
+            beta, m = dst[i]
+            edge = out.get(beta)
+            if edge is None:
+                raise AssertionError(f"differential entry off the cube edges in degree {h}")
+            e, table = edge
+            for coeff, target in table[mask]:
+                if target == m:
+                    break
+            else:
+                coeff = 0
+            if v != e * coeff:
+                raise AssertionError(f"differential entry differs from its edge map in degree {h}")
+        if len(d.data) != expected:
+            raise AssertionError(f"degree {h} has {len(d.data)} entries, its edges {expected} terms")
 
 
 def verify_differential_squares(cube: Cube, eps: dict) -> bool:
-    """Check d^2 = 0 monomial by monomial, without assembling matrices.
+    """Whether d^2 = 0 for the edge signs ``eps``, without assembling matrices.
 
-    Streams every face and every basis monomial at its base vertex, so
-    memory stays flat on cubes too large to flatten.
+    This is the d^2 check of ``assemble_complex``: the composites of
+    each face key once on every monomial, then the sign parity face by
+    face (``cube._first_failing_face``).  Memory stays flat on cubes too
+    large to flatten.
     """
-    for alpha, c1, c2 in cube.faces():
-        paths = []
-        for first, second in ((c1, c2), (c2, c1)):
-            mid = alpha | 1 << first
-            s = eps[alpha, first] * eps[mid, second]
-            paths.append((s, cube.edge_table(alpha, first), cube.edge_table(mid, second)))
-        for mask in range(cube.space(alpha).dim):
-            acc: dict[int, int] = {}
-            for s, t1, t2 in paths:
-                for cm, m in t1[mask]:
-                    for co, out in t2[m]:
-                        v = acc.get(out, 0) + s * cm * co
-                        if v:
-                            acc[out] = v
-                        else:
-                            del acc[out]
-            if acc:
-                return False
-    return True
+    return _first_failing_face(cube, eps) is None
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,20 @@ land.  The cube builds one table per shape, the image of every source
 monomial indexed by its mask, and every edge of that shape reads the
 same table.  A 10-crossing cube has thousands of edges but on the
 order of a hundred shapes.
+
+A face is fixed by the shapes of its four edges, its key, in the same
+way: both path composites are products of the four tables, and the
+circles each base edge touches (a merge's fused pair, a split's parent)
+can be read off the base shapes.  So each key is classified once, and
+once per cube its two composites are compared on every monomial of the
+base space (``_key_sign``); with the sign parity of each face
+(``_first_failing_face``) this is d^2 = 0, without multiplying
+differentials.  The exception is the vanishing-path shapes vi and x,
+whose sign is the geometric chirality of the two bands: those faces are
+classified one by one.  Each shape table is also compared once with
+the merge or split map built from the circles of one of its edges
+(``_first_wrong_table``).  A 10-crossing cube has 11,520 faces and on
+the order of a thousand keys.
 """
 
 from __future__ import annotations
@@ -21,7 +35,15 @@ from dataclasses import dataclass
 
 from .linalg import solve_gf2
 from .linkdiag import LinkDiagram, Resolution, resolve, transit_side
-from .oddtqft import ExteriorSpace, TqftMap, relabel_term, split_terms, vertex_space
+from .oddtqft import (
+    ExteriorSpace,
+    TqftMap,
+    merge_map,
+    relabel_term,
+    split_map,
+    split_terms,
+    vertex_space,
+)
 
 __all__ = [
     "Cube",
@@ -58,15 +80,19 @@ class Cube:
     """All resolutions of a diagram together with their saddle maps.
 
     Resolutions and state spaces are derived on demand and cached.  The
-    one per-edge cache is the edge's shape table (see ``edge_table``):
-    the checks of ``edge`` run once for every edge when its table is
-    looked up, and edges of the same shape share one table, so the cube
-    keeps no per-edge key correspondence.  `theory` fixes the sign
-    convention for the two interleaved face shapes and affects nothing
-    else.
+    one per-edge cache is the id of the edge's shape (see
+    ``edge_shape``): the checks of ``edge`` run once for every edge when
+    its shape is looked up, and edges of the same shape share one
+    table, so the cube keeps no per-edge key correspondence.  Face keys
+    are cached with the sign their paths commute with.  `theory` fixes
+    the sign convention for the two interleaved face shapes and affects
+    nothing else.
     """
 
-    __slots__ = ("diagram", "n", "theory", "_resolutions", "_spaces", "_tables", "_shapes")
+    __slots__ = (
+        "diagram", "n", "theory", "_resolutions", "_spaces", "_edge_ids", "_shapes", "_tables",
+        "_sites", "_gated", "_face_sigma",
+    )
 
     def __init__(self, diagram: LinkDiagram, theory: str = "y"):
         if theory not in ("x", "y"):
@@ -76,8 +102,17 @@ class Cube:
         self.theory = theory
         self._resolutions: dict[int, Resolution] = {}
         self._spaces: dict[int, ExteriorSpace] = {}
-        self._tables: dict[tuple[int, int], tuple] = {}
-        self._shapes: dict[tuple, tuple] = {}
+        # Shape id of edge (alpha, c) at alpha * n + c, -1 until seen.
+        self._edge_ids = [-1] * (self.n << self.n)
+        self._shapes: dict[tuple, int] = {}
+        # Per shape id: its table, the first edge seen with it, and
+        # (below _gated) whether the table passed _first_wrong_table.
+        self._tables: list[tuple] = []
+        self._sites: list[tuple[int, int]] = []
+        self._gated = 0
+        # Per face key: the sign its paths commute with on every
+        # monomial (_key_sign), None for vanishing-path keys.
+        self._face_sigma: dict[tuple, int | None] = {}
 
     def resolution(self, alpha: int) -> Resolution:
         r = self._resolutions.get(alpha)
@@ -149,17 +184,15 @@ class Cube:
             return CubeEdge(alpha, c, "split", lift, parent, child0, child1)
         raise AssertionError("a saddle changes the circle count by one")
 
-    def edge_table(self, alpha: int, c: int) -> tuple:
-        """The image of every source monomial under one edge.
+    def edge_shape(self, alpha: int, c: int) -> int:
+        """The id of one edge's shape, numbered in the order first seen.
 
-        Entry ``mask`` is a tuple of (coeff, target mask) terms, empty
-        when the monomial maps to zero.  The table is keyed by the
-        edge's shape: the target position of each source generator in
-        order, and for a split the positions of both offspring.  Edges
-        of one shape share the same tuple.
+        The shape is the edge's kind, the target position of each source
+        generator in order, and for a split the positions of both
+        offspring.  Its table is built the first time it is seen.
         """
-        t = self._tables.get((alpha, c))
-        if t is None:
+        i = self._edge_ids[alpha * self.n + c]
+        if i < 0:
             e = self.edge(alpha, c)
             src = self.space(alpha)
             dst = self.space(alpha | 1 << c)
@@ -167,11 +200,46 @@ class Cube:
             shape = (e.kind, tuple(pos[e.key_map[k]] for k in src.keys))
             if e.kind == "split":
                 shape += (pos[e.child0], pos[e.child1])
-            t = self._shapes.get(shape)
-            if t is None:
-                t = self._shapes[shape] = _edge_columns(src, dst, e)
-            self._tables[alpha, c] = t
-        return t
+            i = self._shapes.get(shape)
+            if i is None:
+                i = self._shapes[shape] = len(self._tables)
+                self._tables.append(_edge_columns(src, dst, e))
+                self._sites.append((alpha, c))
+            self._edge_ids[alpha * self.n + c] = i
+        return i
+
+    def edge_table(self, alpha: int, c: int) -> tuple:
+        """The image of every source monomial under one edge.
+
+        Entry ``mask`` is a tuple of (coeff, target mask) terms, empty
+        when the monomial maps to zero.  Edges of one shape (see
+        ``edge_shape``) share the same tuple.
+        """
+        return self._tables[self.edge_shape(alpha, c)]
+
+    def face_keys(self):
+        """Every face, in ``faces`` order, with its key.
+
+        The key lists the shape ids of the face's two paths, each from
+        the base vertex: ``(alpha, c1)`` then ``(alpha + c1, c2)``, and
+        ``(alpha, c2)`` then ``(alpha + c2, c1)``.
+        """
+        n = self.n
+        ids = self._edge_ids
+        for alpha, c in self.edges():
+            if ids[alpha * n + c] < 0:
+                self.edge_shape(alpha, c)
+        for alpha in range(1 << n):
+            base = alpha * n
+            for c1 in range(n):
+                if alpha >> c1 & 1:
+                    continue
+                first, up1 = ids[base + c1], (alpha | 1 << c1) * n
+                for c2 in range(c1 + 1, n):
+                    if not alpha >> c2 & 1:
+                        up2 = (alpha | 1 << c2) * n
+                        key = (first, ids[up1 + c2], ids[base + c2], ids[up2 + c1])
+                        yield (alpha, c1, c2), key
 
     def edge_terms(self, alpha: int, c: int, mask: int) -> tuple:
         """Image of one basis monomial under one edge, as (coeff, mask) terms."""
@@ -209,21 +277,18 @@ class FaceClass:
 _FIXED_SIGMA = {"i": 1, "ii": 1, "iv": 1, "v": 1, "vii": -1, "viii": -1}
 
 
-def _unit_composite(cube: Cube, alpha: int, first: int, second: int) -> dict:
-    """Both edges of one path applied to the unit monomial."""
-    vec = {0: 1}
-    for a, c in ((alpha, first), (alpha | 1 << first, second)):
-        table = cube.edge_table(a, c)
-        nxt: dict[int, int] = {}
-        for mask, coeff in vec.items():
-            for s, out in table[mask]:
-                v = nxt.get(out, 0) + coeff * s
-                if v:
-                    nxt[out] = v
-                elif out in nxt:
-                    del nxt[out]
-        vec = nxt
-    return vec
+def _composite(first: tuple, second: tuple, mask: int) -> dict:
+    """One path of two edge tables applied to one monomial, as {mask: coeff}."""
+    acc: dict[int, int] = {}
+    for s, m in first[mask]:
+        for t, out in second[m]:
+            acc[out] = acc.get(out, 0) + s * t
+    return {out: v for out, v in acc.items() if v}
+
+
+def _path_tables(cube: Cube, alpha: int, first: int, second: int) -> tuple:
+    """The two tables along one path of a face, from its base vertex."""
+    return cube.edge_table(alpha, first), cube.edge_table(alpha | 1 << first, second)
 
 
 def _proportionality(p1: dict, p2: dict) -> int:
@@ -290,8 +355,8 @@ def classify_face(cube: Cube, alpha: int, c1: int, c2: int) -> FaceClass:
     ra = cube.resolution(alpha)
     s1 = {ra.slot_circle[c1, s] for s in range(4)}
     s2 = {ra.slot_circle[c2, s] for s in range(4)}
-    p1 = _unit_composite(cube, alpha, c1, c2)
-    p2 = _unit_composite(cube, alpha, c2, c1)
+    p1 = _composite(*_path_tables(cube, alpha, c1, c2), 0)
+    p2 = _composite(*_path_tables(cube, alpha, c2, c1), 0)
     if p1 or p2:
         sigma = _proportionality(p1, p2)
         shared = len(s1 & s2)
@@ -330,9 +395,114 @@ def face_edges(alpha: int, c1: int, c2: int):
     )
 
 
+def _key_sign(cube: Cube, alpha: int, c1: int, c2: int):
+    """The sign s with path 1 = s * path 2 on every monomial of the base space.
+
+    The paths of a face are ``(alpha, c1)`` then ``(alpha + c1, c2)``
+    and the other way round; both are products of the face's four
+    tables, so the answer holds for every face of the same key.  None
+    when both paths vanish (shapes vi and x), and 0 when no sign fits:
+    then d^2 is not zero on the face whatever the edge signs.
+    """
+    t1, t2 = _path_tables(cube, alpha, c1, c2)
+    u1, u2 = _path_tables(cube, alpha, c2, c1)
+    p1, p2 = _composite(t1, t2, 0), _composite(u1, u2, 0)
+    if not p2:
+        for mask in range(len(t1)):
+            if _composite(t1, t2, mask) or _composite(u1, u2, mask):
+                return 0
+        return None
+    out, v = next(iter(p2.items()))
+    sigma = 1 if p1.get(out) == v else -1
+    # Path 1 minus sigma times path 2, monomial by monomial.
+    for mask in range(len(t1)):
+        acc: dict[int, int] = {}
+        for s, m in t1[mask]:
+            for t, out in t2[m]:
+                acc[out] = acc.get(out, 0) + s * t
+        for s, m in u1[mask]:
+            for t, out in u2[m]:
+                acc[out] = acc.get(out, 0) - sigma * s * t
+        if any(acc.values()):
+            return 0
+    return sigma
+
+
 def _face_sigmas(cube: Cube) -> dict:
-    """The path-comparison sign of every face, each face classified once."""
-    return {f: classify_face(cube, *f).sigma for f in cube.faces()}
+    """The path-comparison sign of every face, classified once per key.
+
+    The first face of each key is classified, and the key's sign is
+    measured on every monomial (``_key_sign``), which is the d^2 check
+    of all faces of that key; the other faces of the key take that
+    sign, and the first face keeps its own classification, so a face
+    classified against its paths leaves the system without solution.
+    Vanishing-path faces (shapes vi and x) are classified one by one,
+    since their sign is geometric.  So ``classify_face`` runs once per
+    key plus once per vi/x face after the first of its key.
+    """
+    known = cube._face_sigma
+    out = {}
+    for face, key in cube.face_keys():
+        s = known.get(key)
+        if s is None:
+            if key not in known:
+                s = _key_sign(cube, *face)
+                if s == 0:
+                    raise AssertionError(f"d^2 != 0 on face {face}")
+                known[key] = s
+            s = classify_face(cube, *face).sigma
+        out[face] = s
+    return out
+
+
+def _first_failing_face(cube: Cube, eps: dict):
+    """The first face on which d^2 fails for edge signs ``eps``, or None.
+
+    On one face d^2 is path1 * p1 + path2 * p2, with pathk the product
+    of the signs along path k and pk its composite.  Where pk is not
+    zero this vanishes exactly when p1 = sigma * p2 and path1 * path2 *
+    sigma = -1.  The first half is ``_key_sign``, cached per key; the
+    second is the sign parity, one product per face.  Vanishing-path
+    faces need no parity, since their d^2 is zero for any signs.
+    """
+    known = cube._face_sigma
+    for face, key in cube.face_keys():
+        sigma = known.get(key, 0)
+        if sigma == 0:
+            sigma = _key_sign(cube, *face)
+            if sigma == 0:
+                return face
+            known[key] = sigma
+        if sigma is not None:
+            alpha, c1, c2 = face
+            path1 = eps[alpha, c1] * eps[alpha | 1 << c1, c2]
+            path2 = eps[alpha, c2] * eps[alpha | 1 << c2, c1]
+            if path1 * path2 * sigma != -1:
+                return face
+    return None
+
+
+def _first_wrong_table(cube: Cube):
+    """An edge whose shape table is not its saddle map, or None.
+
+    Each shape table not yet gated is compared, column by column, with
+    ``merge_map`` or ``split_map`` built from the circle correspondence
+    of the first edge seen with that shape; a table that passes is not
+    compared again.
+    """
+    while cube._gated < len(cube._tables):
+        alpha, c = cube._sites[cube._gated]
+        e = cube.edge(alpha, c)
+        src, dst = cube.space(alpha), cube.space(alpha | 1 << c)
+        if e.kind == "merge":
+            ref = merge_map(src, dst, e.key_map)
+        else:
+            ref = split_map(src, dst, e.parent, e.child0, e.child1, e.key_map)
+        table = cube._tables[cube._gated]
+        if len(table) != src.dim or any(col != ref.apply(m) for m, col in enumerate(table)):
+            return alpha, c
+        cube._gated += 1
+    return None
 
 
 def _doubled_signs(cube: Cube, sigma) -> dict:
@@ -413,9 +583,9 @@ def solve_sign_assignment(cube: Cube) -> dict:
     The canonical answer is the one lexicographic elimination over
     GF(2) gives, with the edges in (vertex, crossing) order as variables
     and free variables set to +1: a function of the cube alone.  It is
-    built without the elimination.  Each face is classified once, the
-    doubling of ``_doubled_signs`` gives the candidate, and the
-    candidate is checked on every face.  Coherent signs form one orbit
+    built without the elimination.  Each face key is classified once
+    (``_face_sigmas``), the doubling of ``_doubled_signs`` gives the
+    candidate, and the candidate is checked on every face.  Coherent signs form one orbit
     of the vertex gauge eps(alpha, c) -> g(alpha) eps(alpha, c)
     g(alpha + c).  Under lowest-bit elimination the free variables are
     the edges that are the highest edge some gauge flips, and those form

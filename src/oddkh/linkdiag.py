@@ -340,12 +340,13 @@ class Resolution:
     through crossings as (crossing, entry_slot, exit_slot) triples.
     """
 
-    __slots__ = ("diagram", "alpha", "circles", "arc_circle", "slot_circle")
+    __slots__ = ("diagram", "alpha", "circles", "keys", "arc_circle", "slot_circle")
 
     def __init__(self, diagram, alpha, circles):
         self.diagram = diagram
         self.alpha = alpha
         self.circles = circles
+        self.keys = tuple(min(arcs) for arcs, _, _ in circles)
         self.arc_circle = {}
         self.slot_circle = {}
         for idx, (arcs, dirs, transits) in enumerate(circles):
@@ -366,7 +367,7 @@ class Resolution:
         return self.circles[idx][2]
 
     def circle_key(self, idx: int) -> int:
-        return min(self.circles[idx][0])
+        return self.keys[idx]
 
     def __repr__(self):
         return f"Resolution(alpha={self.alpha:b}, circles={self.n_circles})"

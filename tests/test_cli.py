@@ -17,7 +17,7 @@ from oddkh.cli import main
 from oddkh.cobordism import evaluate_movie, r2_event, saddle_event, script_to_dict
 from oddkh.complexes import assemble_complex, homology, reduce_coefficients
 from oddkh.cube import build_cube
-from oddkh.fixtures import figure_eight, prime_knot, rational_knot, unlink
+from oddkh.fixtures import figure_eight, left_trefoil, prime_knot, rational_knot, unlink
 from oddkh.linkdiag import diagram_to_dict
 
 
@@ -123,6 +123,43 @@ def test_homology_exits_2_on_a_corrupted_edge_table_under_optimize(tmp_path):
     )
     assert run.returncode == 2, run.stderr
     assert "internal invariant violated: d^2 != 0" in run.stderr and not run.stdout
+
+
+def test_homology_exits_2_on_a_corrupted_trefoil_table(tmp_path, capsys, monkeypatch):
+    # Here the corruption keeps d^2 = 0; only the table gate sees it.
+    path = tmp_path / "trefoil.json"
+    path.write_text(json.dumps(diagram_to_dict(left_trefoil())))
+    original = cube_module._edge_columns
+    monkeypatch.setattr(cube_module, "_edge_columns", corrupt_one_table(original))
+    with pytest.raises(AssertionError, match="edge table differs from its saddle map"):
+        assemble_complex(build_cube(left_trefoil()))
+    monkeypatch.setattr(cube_module, "_edge_columns", corrupt_one_table(original))
+    assert main(["homology", str(path)]) == 2
+    out = capsys.readouterr()
+    assert "internal invariant violated: edge table differs from its saddle map" in out.err
+    assert not out.out
+
+
+def test_homology_exits_2_on_a_corrupted_trefoil_table_under_optimize(tmp_path):
+    path = tmp_path / "trefoil.json"
+    path.write_text(json.dumps(diagram_to_dict(left_trefoil())))
+    script = (
+        "import sys\n"
+        "if sys.flags.optimize != 1: sys.exit(3)\n"
+        "from oddkh import cube\n"
+        "from test_cli import corrupt_one_table\n"
+        "cube._edge_columns = corrupt_one_table(cube._edge_columns)\n"
+        "from oddkh.cli import main\n"
+        f"sys.exit(main(['homology', {str(path)!r}]))\n"
+    )
+    paths = [str(Path(oddkh.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 2, run.stderr
+    assert "internal invariant violated: edge table differs from its saddle map" in run.stderr
+    assert not run.stdout
 
 
 def corrupt_retraction(original):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddkh import complexes as complexes_module
 from oddkh.complexes import (
     BigradedHomology,
+    ChainComplex,
     ChainMap,
     HomologyPresentation,
     assemble_complex,
@@ -140,6 +142,96 @@ def test_assembly_validates_many_diagrams():
         assemble_complex(cube)
         doubled = cube_module._doubled_signs(cube, lambda *face: classify_face(cube, *face).sigma)
         assemble_complex(cube, doubled)
+
+
+def streaming_squares_reference(cube, eps):
+    """d^2 = 0 checked face by face and monomial by monomial, signs included."""
+    for alpha, c1, c2 in cube.faces():
+        paths = []
+        for first, second in ((c1, c2), (c2, c1)):
+            mid = alpha | 1 << first
+            s = eps[alpha, first] * eps[mid, second]
+            paths.append((s, cube.edge_table(alpha, first), cube.edge_table(mid, second)))
+        for mask in range(cube.space(alpha).dim):
+            acc = {}
+            for s, t1, t2 in paths:
+                for cm, m in t1[mask]:
+                    for co, out in t2[m]:
+                        acc[out] = acc.get(out, 0) + s * cm * co
+            if any(acc.values()):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_square_check_matches_streaming_reference(theory):
+    for name, diagram in named_diagrams(7):
+        cube = build_cube(diagram, theory)
+        eps = solve_sign_assignment(cube)
+        assert verify_differential_squares(cube, eps) is streaming_squares_reference(cube, eps) is True
+        for edge in list(eps)[:: max(1, len(eps) // 5)]:
+            broken = dict(eps)
+            broken[edge] = -broken[edge]
+            got = verify_differential_squares(cube, broken)
+            assert got is streaming_squares_reference(cube, broken), (name, edge)
+            # A flipped edge breaks d^2 unless all its faces vanish.
+            faces = [f for f in cube.faces() if edge in cube_module.face_edges(*f)]
+            vanishing = all(classify_face(cube, *f).tag in {"vi", "x"} for f in faces)
+            assert got is vanishing, (name, edge)
+
+
+def mutant_complex(cube, mutation):
+    """The differentials of ``assemble_complex`` with one deliberate mistake.
+
+    ``offset``: the entries of the first edge into each target vertex
+    start at the next vertex's offset.  ``mask``: one edge's entries land
+    one monomial further on in the target vertex.  ``sign``: every edge
+    takes the sign of the next edge out of its vertex.  ``drop``: one
+    entry is left out.  Rows are wrapped into range so that the matrices
+    can be built; nothing is validated.
+    """
+    signs = solve_sign_assignment(cube)
+    cx = assemble_complex(cube, signs)
+    diff = {}
+    hit = False
+    for h in cx.degrees():
+        if h + 1 not in cx.degrees():
+            continue
+        src, dst = cx.basis(h), cx.basis(h + 1)
+        rows = len(dst)
+        entries = {}
+        for j, (alpha, mask) in enumerate(src):
+            free = [c for c in range(cube.n) if not alpha >> c & 1]
+            for k, c in enumerate(free):
+                beta = alpha | 1 << c
+                base = cx.index(h + 1, (beta, 0))
+                dim = cube.space(beta).dim
+                index = cube.space(beta).basis_index()
+                sign = signs[alpha, free[(k + 1) % len(free)] if mutation == "sign" else c]
+                for coeff, m in cube.edge_table(alpha, c)[mask]:
+                    i = base + index[m]
+                    if mutation == "offset" and k == 0:
+                        i = (base + dim + index[m]) % rows
+                    elif mutation == "mask" and not hit and k == 0:
+                        i = base + (index[m] + 1) % dim
+                    elif mutation == "drop" and not hit:
+                        hit = True
+                        continue
+                    entries[i, j] = sign * coeff
+                if mutation == "mask" and k == 0 and cube.edge_table(alpha, c)[mask]:
+                    hit = True
+        diff[h] = IntMatrix(rows, len(src), entries)
+    return ChainComplex(cube, signs, dict(cx._basis), dict(cx._qdeg), diff)
+
+
+@pytest.mark.parametrize("mutation", ["offset", "mask", "sign", "drop"])
+@pytest.mark.parametrize("code", [TREFOIL, FIG8, POKE], ids=["trefoil", "fig8", "poke"])
+def test_validate_refuses_a_mutated_assembly(mutation, code):
+    cube = build_cube(parse_pd(code))
+    mutant = mutant_complex(cube, mutation)
+    assert any(mutant.differential(h) != assemble_complex(cube).differential(h) for h in mutant.degrees())
+    with pytest.raises(AssertionError):
+        complexes_module._validate(mutant)
 
 
 def test_streaming_square_check():

@@ -14,7 +14,8 @@ from oddkh.cube import (
     face_edges,
     solve_sign_assignment,
 )
-from oddkh.fixtures import braid_closure, rational_knot
+from oddkh.complexes import assemble_complex
+from oddkh.fixtures import braid_closure, prime_knot, rational_knot
 from oddkh.linalg import solve_gf2
 from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd
 from oddkh.oddtqft import compose, merge_map, split_map
@@ -101,6 +102,39 @@ def test_shape_tables_match_edge_maps_on_corpus(theory):
 )
 def test_shape_tables_match_edge_maps_on_braid_closures(word, theory):
     assert_tables_match_edge_maps(build_cube(braid_closure(word, 3), theory))
+
+
+def per_face_sigmas(cube):
+    return {f: classify_face(cube, *f).sigma for f in cube.faces()}
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_keyed_face_sigmas_match_classify_face_on_corpus(theory):
+    for name, diagram in named_diagrams(8):
+        cube = build_cube(diagram, theory)
+        assert cube_module._face_sigmas(cube) == per_face_sigmas(cube), name
+
+
+def test_classify_face_runs_once_per_key_and_per_vanishing_face(monkeypatch):
+    cube = build_cube(prime_knot("8_19"))
+    calls = []
+    original = cube_module.classify_face
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(cube_module, "classify_face", counted)
+    assemble_complex(cube)
+    monkeypatch.setattr(cube_module, "classify_face", original)
+    keys = dict(cube.face_keys())
+    vanishing = [f for f in cube.faces() if original(cube, *f).tag in {"vi", "x"}]
+    vanishing_keys = {keys[f] for f in vanishing}
+    assert len(vanishing) > len(vanishing_keys) > 0
+    # Every key once, and every vi/x face past the first of its key.
+    expected = len(set(keys.values())) + len(vanishing) - len(vanishing_keys)
+    assert len(calls) == expected < len(keys) // 3
+    assert set(vanishing) <= set(calls)
 
 
 def test_trefoil_base_faces_are_merge_chains():
@@ -281,6 +315,13 @@ _small_diagrams = st.one_of(
     .filter(lambda tw: sum(tw) <= 6)
     .map(rational_knot),
 )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_diagrams, st.sampled_from(["x", "y"]))
+def test_keyed_face_sigmas_match_classify_face_on_random_diagrams(diagram, theory):
+    cube = build_cube(diagram, theory)
+    assert cube_module._face_sigmas(cube) == per_face_sigmas(cube)
 
 
 @settings(max_examples=25, deadline=None)
