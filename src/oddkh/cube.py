@@ -643,8 +643,11 @@ def arrow_flipped_signs(cube: Cube, reversed_crossings) -> dict:
     theory's differential.
     """
     flip = set(reversed_crossings)
-    negated = {e for e in cube.edges() if e[1] in flip and cube.edge(*e).kind == "split"}
+    # _face_sigmas runs edge_shape, and with it the checks of ``edge``,
+    # on every edge; a split is then an edge that adds a circle.
     sigma = _face_sigmas(cube)
+    circles = [cube.resolution(alpha).n_circles for alpha in cube.vertices()]
+    negated = {(a, c) for a, c in cube.edges() if c in flip and circles[a | 1 << c] > circles[a]}
     for f in sigma:
         if len(negated.intersection(face_edges(*f))) % 2:
             sigma[f] = -sigma[f]

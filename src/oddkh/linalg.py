@@ -5,11 +5,14 @@ decisions) reduces to the operations exported here.  Every integer
 computation (elementary divisors and the integer and mod-p ranks read
 off them, solves, kernels, cokernels) runs one sparse elimination that
 cancels unit (+-1) pivots, then Smith normal form on the block left
-over; U, V and V^-1 are built for that block only.  The same
-elimination, on a forced pivot order, gives the Reidemeister
-retractions of ``cobordism``.  The GF(2)
-solver on bitmask rows serves only the enumeration of every coherent
-edge-sign choice of a cube.  Matrices are sparse dictionaries of
+over; U, V and V^-1 are built for that block only.  Both eliminations
+work on sparse lines: the unit elimination keeps rows as dicts with a
+row set per column, and Smith normal form keeps the block as row dicts
+and as column dicts, U as rows and V as columns, so each row or column
+operation costs the nonzeros it touches.  The unit elimination, on a
+forced pivot order, gives the Reidemeister retractions of
+``cobordism``.  The GF(2) solver on bitmask rows serves only the
+enumeration of every coherent edge-sign choice of a cube.  Matrices are sparse dictionaries of
 arbitrary-precision Python integers; there is no floating point
 anywhere in this module.
 """
@@ -198,6 +201,45 @@ class SnfResult:
         return tuple(d for d in self.diagonal if d not in (0, 1))
 
 
+def _add(lines, cross, transform, dst, src, m):
+    """Line dst += m * line src, on A and on its transform.
+
+    ``lines`` holds A by the lines being combined (rows or columns) and
+    ``cross`` the same entries by the other lines, kept in step; the
+    transform (U by rows, V by columns) follows the same operation.  With
+    dst == src and m == -2 this negates the line.
+    """
+    if not m:
+        return
+    out = lines[dst]
+    for k, v in list(lines[src].items()):
+        w = out.get(k, 0) + m * v
+        if w:
+            out[k] = cross[k][dst] = w
+        else:
+            del out[k], cross[k][dst]
+    out = transform[dst]
+    for k, v in list(transform[src].items()):
+        w = out.get(k, 0) + m * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+
+
+def _swap(lines, cross, transform, i, j):
+    """Exchange lines i and j of A and of its transform (see ``_add``)."""
+    for k in lines[i].keys() | lines[j].keys():
+        line = cross[k]
+        vi, vj = line.pop(i, 0), line.pop(j, 0)
+        if vj:
+            line[i] = vj
+        if vi:
+            line[j] = vi
+    lines[i], lines[j] = lines[j], lines[i]
+    transform[i], transform[j] = transform[j], transform[i]
+
+
 def smith_normal_form(A: IntMatrix) -> SnfResult:
     """Diagonalize A by unimodular row and column operations.
 
@@ -214,186 +256,52 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
 
     Notes
     -----
-    Pivoting picks the entry of smallest absolute value, ties broken by
-    lowest (row, col), which keeps the result deterministic and tames
-    coefficient growth at this scale.
+    A is held twice, as sparse row dicts ``a[r]`` and as sparse column
+    dicts ``at[c]``, U as row dicts and V as column dicts, so a row or
+    column operation costs the nonzeros of the lines it reads; one
+    ``_add`` and one ``_swap`` serve rows (on a, at, U) and columns (on
+    at, a, V).  Pivoting picks the entry of smallest absolute value,
+    ties broken by lowest (row, col), which keeps the result
+    deterministic and tames coefficient growth at this scale.
     """
     rows, cols = A.rows, A.cols
-    a: dict[tuple[int, int], int] = dict(A.data)
-    # Row and column index sets per line, for sparse pivot hunting.
-    row_support: dict[int, set[int]] = {}
-    col_support: dict[int, set[int]] = {}
-    for (r, c) in a:
-        row_support.setdefault(r, set()).add(c)
-        col_support.setdefault(c, set()).add(r)
+    a: list[dict[int, int]] = [{} for _ in range(rows)]
+    at: list[dict[int, int]] = [{} for _ in range(cols)]
+    for (r, c), x in A.data.items():
+        a[r][c] = at[c][r] = x
+    u = [{i: 1} for i in range(rows)]
+    vt = [{j: 1} for j in range(cols)]
 
-    u: dict[tuple[int, int], int] = {(i, i): 1 for i in range(rows)}
-    v: dict[tuple[int, int], int] = {(j, j): 1 for j in range(cols)}
-
-    def row_op(dst: int, src: int, m: int):
-        # row dst += m * row src  (applied to a and u)
-        if m == 0:
-            return
-        for c in list(row_support.get(src, ())):
-            key = (dst, c)
-            w = a.get(key, 0) + m * a[(src, c)]
-            if w:
-                if key not in a:
-                    row_support.setdefault(dst, set()).add(c)
-                    col_support.setdefault(c, set()).add(dst)
-                a[key] = w
-            elif key in a:
-                del a[key]
-                row_support[dst].discard(c)
-                col_support[c].discard(dst)
-        for c in range(rows):
-            key = (dst, c)
-            w = u.get(key, 0) + m * u.get((src, c), 0)
-            if w:
-                u[key] = w
-            else:
-                u.pop(key, None)
-
-    def col_op(dst: int, src: int, m: int):
-        if m == 0:
-            return
-        for r in list(col_support.get(src, ())):
-            key = (r, dst)
-            w = a.get(key, 0) + m * a[(r, src)]
-            if w:
-                if key not in a:
-                    row_support.setdefault(r, set()).add(dst)
-                    col_support.setdefault(dst, set()).add(r)
-                a[key] = w
-            elif key in a:
-                del a[key]
-                row_support[r].discard(dst)
-                col_support[dst].discard(r)
-        for r in range(cols):
-            key = (r, dst)
-            w = v.get(key, 0) + m * v.get((r, src), 0)
-            if w:
-                v[key] = w
-            else:
-                v.pop(key, None)
-
-    def row_swap(i: int, j: int):
-        if i == j:
-            return
-        ci, cj = row_support.get(i, set()), row_support.get(j, set())
-        moved = {}
-        for c in ci | cj:
-            vi, vj = a.pop((i, c), 0), a.pop((j, c), 0)
-            if vj:
-                moved[(i, c)] = vj
-            if vi:
-                moved[(j, c)] = vi
-            col_support[c].discard(i)
-            col_support[c].discard(j)
-        for (r, c), val in moved.items():
-            a[(r, c)] = val
-            col_support[c].add(r)
-        row_support[i] = {c for (r, c) in moved if r == i}
-        row_support[j] = {c for (r, c) in moved if r == j}
-        for c in range(rows):
-            u[(i, c)], u[(j, c)] = u.get((j, c), 0), u.get((i, c), 0)
-            for k in ((i, c), (j, c)):
-                if not u.get(k, 0):
-                    u.pop(k, None)
-
-    def col_swap(i: int, j: int):
-        if i == j:
-            return
-        ri, rj = col_support.get(i, set()), col_support.get(j, set())
-        moved = {}
-        for r in ri | rj:
-            vi, vj = a.pop((r, i), 0), a.pop((r, j), 0)
-            if vj:
-                moved[(r, i)] = vj
-            if vi:
-                moved[(r, j)] = vi
-            row_support[r].discard(i)
-            row_support[r].discard(j)
-        for (r, c), val in moved.items():
-            a[(r, c)] = val
-            row_support[r].add(c)
-        col_support[i] = {r for (r, c) in moved if c == i}
-        col_support[j] = {r for (r, c) in moved if c == j}
-        for r in range(cols):
-            v[(r, i)], v[(r, j)] = v.get((r, j), 0), v.get((r, i), 0)
-            for k in ((r, i), (r, j)):
-                if not v.get(k, 0):
-                    v.pop(k, None)
-
-    def negate_row(i: int):
-        for c in list(row_support.get(i, ())):
-            a[(i, c)] = -a[(i, c)]
-        for c in range(rows):
-            if (i, c) in u:
-                u[(i, c)] = -u[(i, c)]
-
-    t = 0
     limit = min(rows, cols)
-    while t < limit:
-        # Smallest nonzero entry in the remaining block.
-        pivot = None
-        best = None
-        for (r, c), val in a.items():
-            if r < t or c < t:
-                continue
-            key = (abs(val), r, c)
-            if best is None or key < best:
-                best = key
-                pivot = (r, c)
-        if pivot is None:
+    for t in range(limit):
+        # Smallest nonzero entry in the remaining block; rows from t on
+        # hold no entry left of column t.
+        best = min(((abs(x), r, c) for r in range(t, rows) for c, x in a[r].items()), default=None)
+        if best is None:
             break
-        pr, pc = pivot
-        row_swap(t, pr)
-        col_swap(t, pc)
-        # Clear row and column t; restart if a reduction shrinks entries.
+        _, pr, pc = best
+        _swap(a, at, u, t, pr)
+        _swap(at, a, vt, t, pc)
+        # Clear row and column t; a nonzero remainder is smaller than the
+        # pivot, so the smallest (lowest index, a row before a column on
+        # a tie) becomes the pivot and the sweep runs again.
         while True:
-            p = a[(t, t)]
-            dirty = False
-            for r in list(col_support.get(t, ())):
-                if r == t:
-                    continue
-                q = a[(r, t)] // p
-                row_op(r, t, -q)
-                if (r, t) in a:
-                    dirty = True
-            for c in list(row_support.get(t, ())):
-                if c == t:
-                    continue
-                q = a[(t, c)] // p
-                col_op(c, t, -q)
-                if (t, c) in a:
-                    dirty = True
-            if not dirty:
+            p = a[t][t]
+            for r in [r for r in at[t] if r != t]:
+                _add(a, at, u, r, t, -(a[r][t] // p))
+            for c in [c for c in a[t] if c != t]:
+                _add(at, a, vt, c, t, -(at[c][t] // p))
+            rest = [(abs(x), r, 0) for r, x in at[t].items() if r != t]
+            rest += [(abs(x), c, 1) for c, x in a[t].items() if c != t]
+            if not rest:
                 break
-            # A nonzero remainder survived; it is smaller than p, make it
-            # the pivot and sweep again.
-            small = None
-            sbest = None
-            for r in list(col_support.get(t, ())):
-                if r != t and (r, t) in a:
-                    k = (abs(a[(r, t)]), r)
-                    if sbest is None or k < sbest:
-                        sbest, small = k, ("r", r)
-            for c in list(row_support.get(t, ())):
-                if c != t and (t, c) in a:
-                    k = (abs(a[(t, c)]), c)
-                    if sbest is None or k < sbest:
-                        sbest, small = k, ("c", c)
-            if small is None:
-                break
-            kind, idx = small
-            if kind == "r":
-                row_swap(t, idx)
+            _, k, is_col = min(rest)
+            if is_col:
+                _swap(at, a, vt, t, k)
             else:
-                col_swap(t, idx)
-        if a[(t, t)] < 0:
-            negate_row(t)
-        t += 1
+                _swap(a, at, u, t, k)
+        if a[t][t] < 0:
+            _add(a, at, u, t, t, -2)
 
     # Enforce the divisibility chain d_i | d_{i+1}.  Rows and columns
     # i, i+1 are diagonal here, so each repair is a closed 2x2 problem.
@@ -401,32 +309,26 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     while changed:
         changed = False
         for i in range(limit - 1):
-            di = a.get((i, i), 0)
-            dj = a.get((i + 1, i + 1), 0)
+            di, dj = a[i].get(i, 0), a[i + 1].get(i + 1, 0)
             if di and dj and dj % di != 0:
                 changed = True
-                col_op(i, i + 1, 1)
-                while a.get((i + 1, i), 0):
-                    pii = a.get((i, i), 0)
-                    pji = a[(i + 1, i)]
+                _add(at, a, vt, i, i + 1, 1)
+                while a[i + 1].get(i, 0):
+                    pii, pji = a[i].get(i, 0), a[i + 1][i]
                     if pii == 0 or abs(pji) < abs(pii):
-                        row_swap(i, i + 1)
-                        continue
-                    row_op(i + 1, i, -(pji // pii))
-                pii = a[(i, i)]
-                pic = a.get((i, i + 1), 0)
-                if pic:
-                    # pic is a multiple of dj, hence of the new pivot.
-                    col_op(i + 1, i, -(pic // pii))
-                if a.get((i, i), 0) < 0:
-                    negate_row(i)
-                if a.get((i + 1, i + 1), 0) < 0:
-                    negate_row(i + 1)
+                        _swap(a, at, u, i, i + 1)
+                    else:
+                        _add(a, at, u, i + 1, i, -(pji // pii))
+                # a[i][i + 1] is a multiple of dj, hence of the new pivot.
+                _add(at, a, vt, i + 1, i, -(a[i].get(i + 1, 0) // a[i][i]))
+                for k in (i, i + 1):
+                    if a[k].get(k, 0) < 0:
+                        _add(a, at, u, k, k, -2)
 
-    diagonal = tuple(a.get((i, i), 0) for i in range(limit))
+    diagonal = tuple(a[i].get(i, 0) for i in range(limit))
     D = IntMatrix(rows, cols, {(i, i): d for i, d in enumerate(diagonal) if d})
-    U = IntMatrix(rows, rows, u)
-    V = IntMatrix(cols, cols, v)
+    U = IntMatrix(rows, rows, {(r, c): x for r, line in enumerate(u) for c, x in line.items()})
+    V = IntMatrix(cols, cols, {(r, c): x for c, line in enumerate(vt) for r, x in line.items()})
     return SnfResult(D=D, U=U, V=V, diagonal=diagonal)
 
 

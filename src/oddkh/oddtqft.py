@@ -62,15 +62,6 @@ class ExteriorSpace:
     def index_of(self, mask: int) -> int:
         return self.basis_index()[mask]
 
-    def mask_keys(self, mask: int) -> tuple:
-        return tuple(self.keys[i] for i in range(self.k) if (mask >> i) & 1)
-
-    def keys_mask(self, keys) -> int:
-        mask = 0
-        for key in keys:
-            mask |= 1 << self.pos[key]
-        return mask
-
     def __eq__(self, other):
         if not isinstance(other, ExteriorSpace):
             return NotImplemented

@@ -199,38 +199,14 @@ def run_functoriality(max_crossings: int = 12) -> list[Check]:
         [("unknot", lambda: _cx(unknot())), ("hopf", lambda: _cx(hopf_link(1))), ("trefoil", lambda: _cx(left_trefoil()))],
         "dot"))
 
-    r1_hosts = [("unknot", unknot()), ("hopf", hopf_link(1)), ("trefoil", left_trefoil())]
-    for sign in (1, -1):
-        for side in ("right", "left"):
-            def r1_variant(sign=sign, side=side):
-                replayed = []
-                for hostname, host in r1_hosts:
-                    cx = _cx(host)
-                    do = r1_cobordism_map(cx, min(host.arcs), sign, "do", side)
-                    undo = r1_cobordism_map(do.dst, max(do.dst.cube.diagram.arcs), direction="undo")
-                    if not (is_chain_map(do) and is_chain_map(undo)):
-                        return False, f"not a chain map on {hostname}"
-                    if compose(undo, do) != identity_chain_map(cx):
-                        return False, f"undo after do is not the identity on {hostname}"
-                    ok, detail = _witnessed_identity(compose(do, undo), f"do after undo on {hostname}")
-                    if not ok:
-                        return False, detail
-                    replayed.append(detail)
-                return True, "; ".join(replayed)
-            _run(checks, f"r1_sign{sign:+d}_{side}", r1_variant)
-
-    r2_variants = {
-        "first_over": [("unlink2", unlink(2), (1, 2)), ("trefoil", left_trefoil(), (1, 4)), ("hopf", hopf_link(1), (4, 1))],
-        "first_under": [("unlink2", unlink(2), (2, 1)), ("hopf", hopf_link(1), (2, 3)), ("trefoil_right", right_trefoil(), (1, 2))],
-    }
-    for variant, hosts in r2_variants.items():
-        def r2_variant(hosts=hosts):
+    def round_trip(hosts, build):
+        """On every host, ``build(*args)`` gives (cx, do, undo): both must be
+        chain maps, undo after do the identity, and do after undo
+        homotopic to the identity with its witness replayed."""
+        def inner():
             replayed = []
-            for hostname, host, arcs in hosts:
-                cx = _cx(host)
-                do = r2_cobordism_map(cx, arcs, "do")
-                mids = tuple(sorted(set(do.dst.cube.diagram.arcs) - set(host.arcs)))[:2]
-                undo = r2_cobordism_map(do.dst, mids, "undo")
+            for hostname, *args in hosts:
+                cx, do, undo = build(*args)
                 if not (is_chain_map(do) and is_chain_map(undo)):
                     return False, f"not a chain map on {hostname}"
                 if compose(undo, do) != identity_chain_map(cx):
@@ -240,7 +216,29 @@ def run_functoriality(max_crossings: int = 12) -> list[Check]:
                     return False, detail
                 replayed.append(detail)
             return True, "; ".join(replayed)
-        _run(checks, f"r2_{variant}", r2_variant)
+        return inner
+
+    r1_hosts = [("unknot", unknot()), ("hopf", hopf_link(1)), ("trefoil", left_trefoil())]
+    for sign in (1, -1):
+        for side in ("right", "left"):
+            def r1(host, sign=sign, side=side):
+                cx = _cx(host)
+                do = r1_cobordism_map(cx, min(host.arcs), sign, "do", side)
+                return cx, do, r1_cobordism_map(do.dst, max(do.dst.cube.diagram.arcs), direction="undo")
+            _run(checks, f"r1_sign{sign:+d}_{side}", round_trip(r1_hosts, r1))
+
+    def r2(host, arcs):
+        cx = _cx(host)
+        do = r2_cobordism_map(cx, arcs, "do")
+        mids = tuple(sorted(set(do.dst.cube.diagram.arcs) - set(host.arcs)))[:2]
+        return cx, do, r2_cobordism_map(do.dst, mids, "undo")
+
+    r2_variants = {
+        "first_over": [("unlink2", unlink(2), (1, 2)), ("trefoil", left_trefoil(), (1, 4)), ("hopf", hopf_link(1), (4, 1))],
+        "first_under": [("unlink2", unlink(2), (2, 1)), ("hopf", hopf_link(1), (2, 3)), ("trefoil_right", right_trefoil(), (1, 2))],
+    }
+    for variant, hosts in r2_variants.items():
+        _run(checks, f"r2_{variant}", round_trip(hosts, r2))
 
     def mm11(host):
         def inner():

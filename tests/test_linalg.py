@@ -89,10 +89,11 @@ def _random_matrix(rng, rows, cols, lo=-9, hi=9, density=0.7):
 
 def test_snf_random_verified():
     rng = random.Random(8231)
-    for _ in range(60):
-        rows = rng.randint(0, 6)
-        cols = rng.randint(0, 6)
-        a = _random_matrix(rng, rows, cols)
+    small = [_random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6)) for _ in range(60)]
+    # Sparse and larger: small remainders force pivot swaps, and
+    # independent entries such as 4 and 6 need the divisibility repair.
+    sparse = [_random_matrix(rng, rng.randint(8, 30), rng.randint(8, 30), density=0.1) for _ in range(12)]
+    for a in small + sparse:
         res = smith_normal_form(a)
         assert res.U * a * res.V == res.D
         diag = [d for d in res.diagonal if d]

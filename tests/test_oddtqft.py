@@ -18,8 +18,6 @@ def test_basis_order_weight_then_mask():
     assert sp.keys == (1, 4, 9)
     assert sp.basis() == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
     assert sp.index_of(0b011) == 4
-    assert sp.mask_keys(0b101) == (1, 9)
-    assert sp.keys_mask([9, 1]) == 0b101
 
 
 def test_relabel_sign_tracks_inversions():
