@@ -1,14 +1,16 @@
 """Chain maps induced by elementary link cobordisms, and movie evaluation.
 
 Every builder returns a ChainMap between complexes assembled with the
-canonical sign choice unless a complex is passed in.  Conventions:
+canonical sign choice; the two retractions also accept an assembled
+small complex, which they check.  Conventions:
 
 - Births include, deaths contract, dots wedge.  Deaths and dots carry
   the per-vertex sign (-1)^s, with the exponent s from ``s_value``.
 - Saddles ride an auxiliary band site.  The sign extension over the
-  enlarged cube is pinned to both end assignments and then normalized
-  so the band edge at the all-zero resolution is positive.  A band that
-  joins two link components therefore acts with no signs at all.
+  enlarged cube is pinned to both end assignments and then flipped, if
+  need be, so the band edge at the all-zero resolution is positive.  A
+  band that joins two link components therefore acts with no signs at
+  all.
 - Reidemeister 1 and 2 maps are strong deformation retractions: the
   curl or bigon generators are paired along unit edge terms and
   cancelled by Gaussian elimination, one differential at a time,
@@ -37,6 +39,7 @@ from .linalg import IntMatrix, _back_substitute, _eliminate_units
 from .linkdiag import (
     LinkDiagram,
     _check_planar,
+    _cut_arcs,
     add_free_circle,
     attach_band,
     delete_free_circle,
@@ -135,32 +138,20 @@ def dot_cobordism_map(cx: ChainComplex, arc: int) -> ChainMap:
     return _vertexwise(cx, cx, -2, factor)
 
 
-def saddle_cobordism_map(
-    cx: ChainComplex,
-    arc1: int,
-    arc2: int,
-    dst: ChainComplex | None = None,
-    normalize: bool = True,
-) -> ChainMap:
+def saddle_cobordism_map(cx: ChainComplex, arc1: int, arc2: int) -> ChainMap:
     """Band surgery between two arcs, or from one arc to itself.
 
     The band site is smoothed 0 on the source side and 1 on the target
-    side.  Both slices of the enlarged cube are pinned to the signs the
-    two complexes actually use, the extension fills in the band edges,
-    and ``normalize`` flips them all if the band edge at the all-zero
-    resolution came out negative.  Either way the result is a chain
-    map; the two choices differ by one overall sign.
+    side.  Both slices of the enlarged cube are pinned to the canonical
+    signs of the two complexes, the extension fills in the band edges,
+    and they are all flipped if the band edge at the all-zero
+    resolution came out negative.
     """
     d = cx.cube.diagram
     banded, site = attach_band(d, arc1, arc2)
     surgered = smooth_crossings(banded, {site: 1})
     try:
-        if dst is None:
-            dst = assemble_complex(build_cube(surgered, cx.cube.theory))
-        elif dst.cube.diagram != surgered:
-            raise ValueError("target complex does not match the band surgery")
-        if dst.cube.theory != cx.cube.theory:
-            raise ValueError("theories differ")
+        dst = assemble_complex(build_cube(surgered, cx.cube.theory))
         aux = build_cube(banded, cx.cube.theory)
         bit = 1 << site
         pinned = {}
@@ -171,7 +162,7 @@ def saddle_cobordism_map(
         eps = extend_sign_assignment(aux, pinned)
     except AssertionError as e:
         raise ValueError(f"no planar band from {arc1} to {arc2}: {e}") from e
-    if normalize and eps[0, site] == -1:
+    if eps[0, site] == -1:
         eps = {e: (-v if e[1] == site else v) for e, v in eps.items()}
 
     def factor(alpha):
@@ -244,15 +235,25 @@ def _retract(cx: ChainComplex, pairs):
 
 def _squeeze_bits(alpha: int, drop: tuple) -> int:
     """Remove the given bit positions, closing the gaps."""
-    out = 0
-    shift = 0
-    for pos in range(alpha.bit_length()):
-        if pos in drop:
-            continue
-        if alpha >> pos & 1:
-            out |= 1 << shift
-        shift += 1
-    return out
+    for pos in sorted(drop, reverse=True):
+        alpha = alpha >> (pos + 1) << pos | alpha & ((1 << pos) - 1)
+    return alpha
+
+
+def _vertex_signs(vertices, ratio) -> dict:
+    """One sign per cube vertex, propagated from the all-zero vertex.
+
+    A vertex beta with lowest set bit c takes ``ratio(alpha, c)`` times
+    the sign of alpha = beta without c; the caller's ratio checks that
+    the two maps it compares along that edge differ only by it.
+    """
+    eta = {0: 1}
+    for beta in sorted(vertices, key=lambda a: a.bit_count()):
+        if beta:
+            c = (beta & -beta).bit_length() - 1
+            alpha = beta ^ (1 << c)
+            eta[beta] = ratio(alpha, c) * eta[alpha]
+    return eta
 
 
 def _finish(cx_big: ChainComplex, pairs, cx_small: ChainComplex, translate):
@@ -275,12 +276,8 @@ def _finish(cx_big: ChainComplex, pairs, cx_small: ChainComplex, translate):
     if len(to_big) != sum(cx_small.dim(h) for h in cx_small.degrees()):
         raise AssertionError("survivors and small generators differ in number")
 
-    eta = {0: 1}
-    for beta in sorted(cx_small.cube.vertices(), key=lambda a: a.bit_count()):
-        if beta == 0:
-            continue
-        c = (beta & -beta).bit_length() - 1
-        alpha = beta ^ (1 << c)
+    def ratio(alpha, c):
+        beta = alpha | 1 << c
         coeff, out = cx_small.cube.edge_terms(alpha, c, 0)[0]
         small_val = cx_small.signs[alpha, c] * coeff
         _, x = to_big[alpha, 0]
@@ -288,7 +285,9 @@ def _finish(cx_big: ChainComplex, pairs, cx_small: ChainComplex, translate):
         big_val = diff.get((x, y), 0)
         if abs(big_val) != abs(small_val):
             raise AssertionError(f"survivor edge {big_val} does not match {small_val} at vertex {beta}")
-        eta[beta] = (big_val // small_val) * eta[alpha]
+        return big_val // small_val
+
+    eta = _vertex_signs(cx_small.cube.vertices(), ratio)
 
     expected: dict[tuple, int] = {}
     for h in cx_small.degrees():
@@ -331,6 +330,15 @@ def _finish(cx_big: ChainComplex, pairs, cx_small: ChainComplex, translate):
     return include, project
 
 
+def _small_complex(big_cx: ChainComplex, small: LinkDiagram, small_cx, what: str) -> ChainComplex:
+    """The complex of ``small``: assembled, or checked if one is passed in."""
+    if small_cx is None:
+        return assemble_complex(build_cube(small, big_cx.cube.theory))
+    if small_cx.cube.diagram != small:
+        raise ValueError(f"small complex does not match the {what} diagram")
+    return small_cx
+
+
 def _find_kink(diagram: LinkDiagram, arc: int):
     """Locate the curl crossing an arc belongs to.
 
@@ -363,10 +371,7 @@ def kink_retraction(big_cx: ChainComplex, crossing: int, small_cx: ChainComplex 
         raise ValueError(f"crossing {crossing} is not a curl")
     _, loop, curl_bit = _find_kink(d, loop[-1])
     small = smooth_crossings(d, {crossing: 1 - curl_bit})
-    if small_cx is None:
-        small_cx = assemble_complex(build_cube(small, big_cx.cube.theory))
-    elif small_cx.cube.diagram != small:
-        raise ValueError("small complex does not match the unkinked diagram")
+    small_cx = _small_complex(big_cx, small, small_cx, "unkinked")
 
     bit = 1 << crossing
     cube = big_cx.cube
@@ -458,29 +463,12 @@ def build_poke(diagram: LinkDiagram, over_arc: int, under_arc: int):
         raise ValueError("cannot poke a diagram with band sites")
     top = diagram.max_arc()
     a_mid, b_mid = top + 1, top + 2
-    top += 2
-    rows = [tuple(c) for c in diagram.crossings]
-    free = list(diagram.free_arcs)
-    ends = {}
-    for arc in (over_arc, under_arc):
-        if arc in free:
-            free.remove(arc)
-            ends[arc] = (arc, arc)
-        else:
-            top += 1
-            hd = diagram.arc_dir[arc]
-            if hd is None:
-                raise ValueError(f"arc {arc} has no direction")
-            rl = [list(c) for c in rows]
-            rl[hd[1][0]][hd[1][1]] = top
-            rows = [tuple(r) for r in rl]
-            ends[arc] = (arc, top)
-    (a_in, a_out), (b_in, b_out) = ends[over_arc], ends[under_arc]
+    rows, free, [(a_in, a_out), (b_in, b_out)] = _cut_arcs(diagram, (over_arc, under_arc), top + 2)
     first = (b_in, a_mid, b_mid, a_in)
     second = (b_mid, a_mid, b_out, a_out)
     poked = LinkDiagram(
         rows + [first, second],
-        free_arcs=tuple(free),
+        free_arcs=free,
         signs=diagram.signs + (1, -1),
     )
     return poked, (a_mid, b_mid)
@@ -522,10 +510,7 @@ def bigon_retraction(big_cx: ChainComplex, arcs: tuple, small_cx: ChainComplex |
     (k1, k2), lens, braid, lens_key = _bigon_vertices(big_cx, tuple(arcs))
     d = big_cx.cube.diagram
     small = smooth_crossings(d, {k1: braid[0], k2: braid[1]})
-    if small_cx is None:
-        small_cx = assemble_complex(build_cube(small, big_cx.cube.theory))
-    elif small_cx.cube.diagram != small:
-        raise ValueError("small complex does not match the straightened diagram")
+    small_cx = _small_complex(big_cx, small, small_cx, "straightened")
 
     cube = big_cx.cube
     nm = big_cx.n_minus
@@ -633,34 +618,20 @@ def relabel_chain_iso(cxa: ChainComplex, cxb: ChainComplex, arc_map: dict) -> Ch
             raise ValueError(f"arc map does not carry circles onto circles at vertex {alpha}")
         vmaps[alpha] = relabel_map(cxa.cube.space(alpha), cxb.cube.space(alpha), key_map)
 
-    eta = {0: 1}
-    for beta in sorted(cxa.cube.vertices(), key=lambda v: v.bit_count()):
-        if beta == 0:
-            continue
-        c = (beta & -beta).bit_length() - 1
-        alpha = beta ^ (1 << c)
+    def ratio(alpha, c):
+        beta = alpha | 1 << c
         left = compose_tqft(vmaps[beta], cxa.cube.edge_map(alpha, c)).scale(cxa.signs[alpha, c])
         right = compose_tqft(cxb.cube.edge_map(alpha, c), vmaps[alpha]).scale(cxb.signs[alpha, c])
         mask = next(m for m, terms in sorted(left.columns.items()) if terms)
         coeff_l, out_l = left.columns[mask][0]
         coeff_r = next(v for v, o in right.columns[mask] if o == out_l)
-        ratio = coeff_l * coeff_r
-        if ratio not in (1, -1) or left != right.scale(ratio):
+        r = coeff_l * coeff_r
+        if r not in (1, -1) or left != right.scale(r):
             raise AssertionError(f"relabeled edge maps differ by more than a sign at {beta}")
-        eta[beta] = ratio * eta[alpha]
+        return r
 
-    blocks: dict[int, dict] = {}
-    for alpha, vm in vmaps.items():
-        h = alpha.bit_count() - cxa.n_minus
-        ent = blocks.setdefault(h, {})
-        for mask, terms in vm.columns.items():
-            j = cxa.index(h, (alpha, mask))
-            for coeff, out in terms:
-                ent[cxb.index(h, (alpha, out)), j] = eta[alpha] * coeff
-    iso = ChainMap(cxa, cxb, {h: IntMatrix(cxb.dim(h), cxa.dim(h), e) for h, e in blocks.items()})
-    if not is_chain_map(iso):
-        raise AssertionError("relabeling does not commute with the differentials")
-    return iso
+    eta = _vertex_signs(cxa.cube.vertices(), ratio)
+    return _vertexwise(cxa, cxb, 0, lambda a: (eta[a], a, vmaps[a]))
 
 
 @dataclass(frozen=True)
@@ -818,10 +789,9 @@ def event_from_dict(data: dict) -> MovieEvent:
     if kind == "dot":
         return dot_event(int(data["arc"]))
     if kind == "r1":
-        direction = data.get("direction", "do")
-        side = data.get("side", "right") if direction == "do" else "right"
-        sign = int(data.get("sign", 1)) if direction == "do" else 0
-        return MovieEvent("r1", (int(data["arc"]),), sign, direction, side)
+        return r1_event(
+            int(data["arc"]), int(data.get("sign", 1)), data.get("direction", "do"), data.get("side", "right")
+        )
     if kind == "r2":
         a, b = data["arcs"]
         return r2_event(int(a), int(b), data.get("direction", "do"))

@@ -122,19 +122,11 @@ class LinkDiagram:
         self.n_minus = sum(1 for s in self.signs if s == -1)
         self.writhe = self.n_plus - self.n_minus
 
-    def slot_arc(self, c: int, s: int) -> int:
-        return self.crossings[c][s]
-
     def max_arc(self) -> int:
         return max(self.arcs) if self.arcs else 0
 
     def _orient(self, given):
         """Walk strand components, fix directions, read off signs."""
-        slot_arc = {}
-        for ci, cr in enumerate(self.crossings):
-            for s, arc in enumerate(cr):
-                slot_arc[(ci, s)] = arc
-
         visited: set[int] = set()
         arc_dir: dict[int, tuple | None] = {}
         sign: list[int | None] = [0 if i in self.formal else None for i in range(self.n)]
@@ -151,7 +143,7 @@ class LinkDiagram:
             passages = []
             cur = start
             while True:
-                arc = slot_arc[cur]
+                arc = self.crossings[cur[0]][cur[1]]
                 visited.add(arc)
                 nxt_occ = other_occ(arc, cur)
                 steps.append((arc, cur, nxt_occ))
@@ -208,7 +200,7 @@ class LinkDiagram:
         # Open paths first: they begin at the loose ends of band sites.
         for ci in sorted(self.formal):
             for s in range(4):
-                arc = slot_arc[(ci, s)]
+                arc = self.crossings[ci][s]
                 if arc in visited:
                     continue
                 steps, passages = walk((ci, s), closed=False)
@@ -384,11 +376,7 @@ def resolve(diagram: LinkDiagram, alpha: int) -> Resolution:
     """Smooth every crossing of the diagram according to the bits of alpha."""
     if not 0 <= alpha < (1 << diagram.n):
         raise ValueError("alpha out of range")
-    slot_arc = {}
-    for ci, cr in enumerate(diagram.crossings):
-        for s, arc in enumerate(cr):
-            slot_arc[(ci, s)] = arc
-
+    crossings = diagram.crossings
     visited: set[int] = set()
     circles = []
     for start_arc in diagram.arcs:
@@ -406,7 +394,7 @@ def resolve(diagram: LinkDiagram, alpha: int) -> Resolution:
         start = cur
         arcs, dirs, transits = [], [], []
         while True:
-            arc = slot_arc[cur]
+            arc = crossings[cur[0]][cur[1]]
             visited.add(arc)
             occ_a, occ_b = diagram.occurrences[arc]
             nxt_occ = occ_b if cur == occ_a else occ_a
@@ -460,19 +448,30 @@ def mirror(diagram: LinkDiagram) -> LinkDiagram:
     )
 
 
-def _cut_arc(diagram: LinkDiagram, arc: int, new_id: int):
-    """Split an arc at a point; the tail half keeps the old label.
+def _cut_arcs(diagram: LinkDiagram, arcs, top: int):
+    """Open each arc so that a new crossing can be spliced into it.
 
-    Returns the updated crossing list.  The caller owns free-arc
-    bookkeeping; cutting a free arc is not meaningful here.
+    Returns (crossing rows, remaining free arcs, [(in, out), ...]), one
+    label pair per arc.  A cut arc keeps its label on the tail half, and
+    its head half takes the next label above ``top``.  A free circle is
+    opened whole and gives (arc, arc).
     """
-    d = diagram.arc_dir[arc]
-    if d is None:
-        raise ValueError(f"arc {arc} has no direction")
-    head = d[1]
     rows = [list(c) for c in diagram.crossings]
-    rows[head[0]][head[1]] = new_id
-    return [tuple(r) for r in rows]
+    free = list(diagram.free_arcs)
+    ends = []
+    for arc in arcs:
+        if arc in free:
+            free.remove(arc)
+            ends.append((arc, arc))
+            continue
+        d = diagram.arc_dir[arc]
+        if d is None:
+            raise ValueError(f"arc {arc} has no direction")
+        top += 1
+        c, s = d[1]
+        rows[c][s] = top
+        ends.append((arc, top))
+    return [tuple(r) for r in rows], tuple(free), ends
 
 
 def insert_kink(diagram: LinkDiagram, arc: int, sign: int) -> LinkDiagram:
@@ -488,14 +487,7 @@ def insert_kink(diagram: LinkDiagram, arc: int, sign: int) -> LinkDiagram:
         raise ValueError("cannot add a kink to a diagram with band sites")
     top = diagram.max_arc()
     loop = top + 2
-    free = diagram.free_arcs
-    if arc in free:
-        rows = [tuple(c) for c in diagram.crossings]
-        free = tuple(a for a in free if a != arc)
-        a_in = a_out = arc
-    else:
-        a_in, a_out = arc, top + 1
-        rows = _cut_arc(diagram, arc, a_out)
+    rows, free, [(a_in, a_out)] = _cut_arcs(diagram, (arc,), top)
     if sign == 1:
         kink = (a_in, a_out, loop, loop)
     else:
@@ -515,43 +507,20 @@ def attach_band(diagram: LinkDiagram, arc1: int, arc2: int):
     the band surgery.
     """
     top = diagram.max_arc()
-    free = list(diagram.free_arcs)
-    rows = [tuple(c) for c in diagram.crossings]
     if arc1 == arc2:
-        if arc1 in free:
-            # Pinching a free circle: two halves, welded on both sides.
-            p, q = arc1, top + 1
-            free.remove(arc1)
-            site = (p, q, q, p)
-        else:
-            # Two cuts make tail, middle, head pieces; the middle piece
-            # lives entirely at the band site.
-            p2, p3 = top + 1, top + 2
-            rows = _cut_arc(diagram, arc1, p3)
-            site = (arc1, p2, p2, p3)
+        # The piece top + 1 lives entirely at the band site, between the
+        # two halves of the cut arc (or of the pinched free circle).
+        rows, free, [(a_in, a_out)] = _cut_arcs(diagram, (arc1,), top + 1)
+        site = (a_in, top + 1, top + 1, a_out)
     else:
-        halves = []
-        for arc in (arc1, arc2):
-            if arc in free:
-                free.remove(arc)
-                halves.append((arc, arc))
-            else:
-                top += 1
-                hd = diagram.arc_dir[arc]
-                if hd is None:
-                    raise ValueError(f"arc {arc} has no direction")
-                rl = [list(c) for c in rows]
-                rl[hd[1][0]][hd[1][1]] = top
-                rows = [tuple(r) for r in rl]
-                halves.append((arc, top))
-        (a1i, a1o), (a2i, a2o) = halves
+        rows, free, [(a1i, a1o), (a2i, a2o)] = _cut_arcs(diagram, (arc1, arc2), top)
         site = (a1i, a1o, a2i, a2o)
     idx = len(rows)
     signs = diagram.signs + (0,)
     return (
         LinkDiagram(
             rows + [site],
-            free_arcs=tuple(free),
+            free_arcs=free,
             signs=signs,
             formal=diagram.formal | {idx},
         ),

@@ -14,8 +14,6 @@ descriptions; none are chosen ad hoc here.
 
 from __future__ import annotations
 
-from .linalg import IntMatrix
-
 __all__ = [
     "ExteriorSpace",
     "TqftMap",
@@ -29,7 +27,6 @@ __all__ = [
     "death_map",
     "dot_map",
     "compose",
-    "add_maps",
 ]
 
 
@@ -101,14 +98,6 @@ class TqftMap:
     def apply(self, mask: int):
         return self.columns.get(mask, ())
 
-    def matrix(self) -> IntMatrix:
-        entries = {}
-        for mask, terms in self.columns.items():
-            j = self.src.index_of(mask)
-            for coeff, m2 in terms:
-                entries[(self.dst.index_of(m2), j)] = coeff
-        return IntMatrix(self.dst.dim, self.src.dim, entries)
-
     def is_zero(self) -> bool:
         return not self.columns
 
@@ -155,21 +144,6 @@ def compose(g: TqftMap, f: TqftMap) -> TqftMap:
         if col:
             columns[mask] = col
     return TqftMap(f.src, g.dst, columns)
-
-
-def add_maps(*maps: TqftMap) -> TqftMap:
-    if not maps:
-        raise ValueError("need at least one map")
-    src, dst = maps[0].src, maps[0].dst
-    columns: dict[int, dict[int, int]] = {}
-    for f in maps:
-        if f.src != src or f.dst != dst:
-            raise ValueError("summand space mismatch")
-        for mask, terms in f.columns.items():
-            acc = columns.setdefault(mask, {})
-            for c, m in terms:
-                acc[m] = acc.get(m, 0) + c
-    return TqftMap(src, dst, {m: _column(t) for m, t in columns.items()})
 
 
 def relabel_term(src: ExteriorSpace, dst: ExteriorSpace, key_map, mask: int):

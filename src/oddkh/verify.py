@@ -49,7 +49,7 @@ from .fixtures import (
     unknot,
     unlink,
 )
-from .linalg import IntMatrix, integer_rank
+from .linalg import IntMatrix
 from .oracles import brute_force_homology, even_khovanov_mod2, kauffman_bracket
 
 
@@ -292,17 +292,11 @@ def run_functoriality(max_crossings: int = 12) -> list[Check]:
     def death_vs_saddle(host, live, dying, split, expected):
         def inner():
             cx = _cx(host)
-            if split:
-                sd = saddle_cobordism_map(cx, live, live)
-            else:
-                sd = saddle_cobordism_map(cx, live[0], live[1])
+            arcs = (live, live) if split else live
+            sd = saddle_cobordism_map(cx, *arcs)
             de = death_cobordism_map(cx, dying)
             ab = compose(death_cobordism_map(sd.dst, dying), sd)
-            if split:
-                other = saddle_cobordism_map(de.dst, live, live)
-            else:
-                other = saddle_cobordism_map(de.dst, live[0], live[1])
-            ba = compose(other, de)
+            ba = compose(saddle_cobordism_map(de.dst, *arcs), de)
             if split:
                 arcs_a = sorted(ba.dst.cube.diagram.arcs)
                 arcs_b = sorted(ab.dst.cube.diagram.arcs)

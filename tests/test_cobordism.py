@@ -184,22 +184,6 @@ def test_split_saddle_matches_s_pattern_up_to_base_parity(host, arc):
     assert equal_up_to_sign(built, pattern) == base_parity
 
 
-@pytest.mark.parametrize(
-    "host,a,b,expected",
-    [
-        (unlink(2), 1, 2, 1),
-        (left_trefoil(), 1, 1, 1),
-        (hopf_link(1), 1, 1, -1),
-        (hopf_link(1), 2, 2, -1),
-    ],
-)
-def test_saddle_normalization_choices_differ_by_overall_sign(host, a, b, expected):
-    cx = cx_of(host)
-    f1 = saddle_cobordism_map(cx, a, b, normalize=True)
-    f0 = saddle_cobordism_map(cx, a, b, normalize=False)
-    assert equal_up_to_sign(f1, f0) == expected
-
-
 def test_saddle_rejects_nonplanar_band():
     with pytest.raises(ValueError):
         saddle_cobordism_map(cx_of(left_trefoil()), 1, 2)
@@ -623,6 +607,14 @@ def test_event_dict_round_trip():
     ]
     for e in events:
         assert event_from_dict(event_to_dict(e)) == e
+
+
+def test_r1_event_dict_normalizes_like_r1_event():
+    # undo ignores the sign and side of the curl it removes; do defaults to +1
+    undo = {"type": "r1", "arc": 3, "direction": "undo", "sign": -1, "side": "left"}
+    assert event_from_dict(undo) == r1_event(3, direction="undo")
+    assert event_from_dict({"type": "r1", "arc": 3}) == r1_event(3)
+    assert event_from_dict({"type": "r1", "arc": 3}).sign == 1
 
 
 def test_script_dict_round_trip():

@@ -2,7 +2,6 @@ import pytest
 
 from oddkh.oddtqft import (
     ExteriorSpace,
-    add_maps,
     birth_map,
     compose,
     death_map,
@@ -101,7 +100,7 @@ def test_dot_squares_to_zero_and_anticommutes():
     d1 = dot_map(sp, 1)
     d5 = dot_map(sp, 5)
     assert compose(d1, d1).is_zero()
-    assert add_maps(compose(d1, d5), compose(d5, d1)).is_zero()
+    assert compose(d1, d5) == compose(d5, d1).scale(-1)
     assert d5.apply(0b001) == ((-1, 0b011),)  # g5^g1 = -g1^g5
 
 
@@ -109,10 +108,9 @@ def test_matrix_shape_and_content():
     src = ExteriorSpace([2, 9])
     dst = ExteriorSpace([2, 5, 9])
     s = split_map(src, dst, 2, 2, 5)
-    m = s.matrix()
-    assert (m.rows, m.cols) == (8, 4)
-    # Unit column: +g2 at row 1, -g5 at row 2 in (weight, mask) order.
-    assert m[1, 0] == 1 and m[2, 0] == -1
+    # Unit column: +g2 and -g5, at rows 1 and 2 in (weight, mask) order.
+    assert s.apply(0) == ((-1, 0b010), (1, 0b001))
+    assert [dst.index_of(m) for m in (0b001, 0b010)] == [1, 2]
 
 
 def test_space_validation():
