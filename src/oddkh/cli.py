@@ -84,17 +84,21 @@ def cmd_homology(args) -> int:
         return 1
     t0 = time.perf_counter()
     cx = assemble_complex(build_cube(diagram, args.theory))
-    if args.coeff == "z":
-        rows = homology(cx).to_rows()
-    elif args.coeff == "z2":
-        table = reduce_coefficients(cx, 2)
-        rows = [{"h": h, "q": q, "dim": v} for (h, q), v in sorted(table.items())]
-    else:
-        rows = [
-            {"h": r["h"], "q": r["q"], "rank": r["rank"]}
-            for r in homology(cx).to_rows()
-            if r["rank"]
-        ]
+    try:
+        if args.coeff == "z":
+            rows = homology(cx, args.reduced).to_rows()
+        elif args.coeff == "z2":
+            table = reduce_coefficients(cx, 2, args.reduced)
+            rows = [{"h": h, "q": q, "dim": v} for (h, q), v in sorted(table.items())]
+        else:
+            rows = [
+                {"h": r["h"], "q": r["q"], "rank": r["rank"]}
+                for r in homology(cx, args.reduced).to_rows()
+                if r["rank"]
+            ]
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - t0
     if args.json:
         _print_json(rows)
@@ -205,6 +209,12 @@ def main(argv=None) -> int:
     p_hom.add_argument("diagram", help="JSON file with a PD code, or - for stdin")
     p_hom.add_argument("--theory", choices=("x", "y"), default="y", help="which exceptional-face sign convention to use")
     p_hom.add_argument("--coeff", choices=("z", "z2", "q"), default="z", help="integer, mod-2, or rational coefficients")
+    p_hom.add_argument(
+        "--reduced",
+        action="store_true",
+        help="print reduced homology, with the component through the smallest arc marked;"
+        " the full table is this one shifted by q+1 plus this one shifted by q-1",
+    )
     p_hom.add_argument("--json", action="store_true", help="machine-readable output")
     p_hom.set_defaults(fn=cmd_homology)
 

@@ -4,6 +4,18 @@ Flattens a cube with a coherent edge-sign choice into bigraded chain
 groups, computes integer homology blockwise from elementary divisors,
 and carries the chain-map calculus: composition, comparison up to sign,
 integral homotopy decision, and induced maps on homology presentations.
+
+Homology tables are computed on half of the complex.  Ozsvath,
+Rasmussen and Szabo ("Odd Khovanov homology", AGT 2013) show that over
+Z the complex C splits as S plus S shifted by 2 in q, where S = x_a C
+is the subcomplex of monomials that hold the circle through a marked
+arc a.  The marked arc is the diagram's smallest arc: circle keys are
+each circle's smallest arc and exterior spaces sort their keys, so its
+circle is bit 0 of every vertex's mask, and S is spanned by the
+generators (alpha, mask) with mask & 1.  ``homology`` and
+``reduce_coefficients`` take the elementary divisors of S's blocks and
+double them; presentations, induced maps and cobordism maps use the
+full complex.
 """
 
 from __future__ import annotations
@@ -249,75 +261,166 @@ class BigradedHomology:
         ]
 
 
-def _q_blocks(c: ChainComplex, h: int) -> dict:
+def _q_blocks(c: ChainComplex, h: int, marked: dict | None = None) -> dict:
     """d_h cut into its quantum-degree blocks, in block coordinates.
 
     One pass over the nonzeros; each generator keeps its order inside
-    its block.  Keys are the quantum degrees of degree h.
+    its block.  Keys are the quantum degrees of degree h.  With
+    ``marked`` (one 0/1 flag per generator of each degree) only the
+    marked generators are kept; they must span a subcomplex, so that a
+    marked column has marked rows only.
     """
     qs, qt = c.quantum_degrees(h), c.quantum_degrees(h + 1)
-    cols, src = _block_positions(qs)
-    rows, dst = _block_positions(qt)
+    cols, src = _block_positions(qs, marked and marked[h])
+    rows, dst = _block_positions(qt, marked and marked[h + 1])
     by_q: dict[int, dict] = {q: {} for q in cols}
     for (i, j), v in c.differential(h).data.items():
-        by_q[qs[j]][dst[i], src[j]] = v
+        p = src[j]
+        if p >= 0:
+            by_q[qs[j]][dst[i], p] = v
     return {q: IntMatrix(rows[q], cols[q], entries) for q, entries in by_q.items()}
 
 
-def _block_positions(qs) -> tuple[Counter, list[int]]:
-    """Block sizes per quantum degree, and each generator's place in its block."""
+def _block_positions(qs, flags=None) -> tuple[Counter, list[int]]:
+    """Block sizes per quantum degree, and each generator's place in its block.
+
+    With ``flags`` only the flagged generators count; the others get -1.
+    """
     sizes: Counter = Counter()
     pos = []
-    for q in qs:
-        pos.append(sizes[q])
-        sizes[q] += 1
+    for k, q in enumerate(qs):
+        if flags is None or flags[k]:
+            pos.append(sizes[q])
+            sizes[q] += 1
+        else:
+            pos.append(-1)
     return sizes, pos
 
 
-def _divisor_table(c: ChainComplex) -> dict:
-    """The nonzero elementary divisors of each (h, q) block of d_h."""
-    return {
+def _marked_half(c: ChainComplex, bits: dict | None = None) -> tuple[dict, dict]:
+    """Elementary divisors and block sizes of the marked subcomplex S.
+
+    S is spanned by the generators (alpha, mask) whose mask holds the
+    marked circle: bit ``bits[alpha]`` of the mask, or bit 0 for a vertex
+    not in ``bits``.  Bit 0 is always the circle through the diagram's
+    smallest arc, because circle keys are each circle's smallest arc and
+    exterior spaces sort their keys.  Returns the divisor table of S's
+    (h, q) blocks and the size of each block, in the full complex's
+    quantum grading.
+
+    A diagram with no arcs has no circle to mark; a complex on it has
+    differentials only when built by hand, and is kept whole.
+    """
+    marked = None
+    if c.cube.diagram.arcs:
+        bits = bits or {}
+        marked = {h: [m >> bits.get(alpha, 0) & 1 for alpha, m in c.basis(h)] for h in c.degrees()}
+    divisors = {
         (h, q): elementary_divisors(block)
         for h in c._diff
-        for q, block in _q_blocks(c, h).items()
+        for q, block in _q_blocks(c, h, marked).items()
         if block.data
     }
+    sizes = {
+        (h, q): n
+        for h in c.degrees()
+        for q, n in _block_positions(c.quantum_degrees(h), marked and marked[h])[0].items()
+    }
+    return divisors, sizes
 
 
-def homology(c: ChainComplex) -> BigradedHomology:
-    """Integer homology per bigrading.
+def _direct_sum(a: tuple, b: tuple) -> tuple:
+    """The elementary divisors of a direct sum of blocks with divisors a and b."""
+    tail = [d for d in a + b if d > 1]
+    diagonal = {(k, k): d for k, d in enumerate(tail)}
+    return (1,) * (len(a) + len(b) - len(tail)) + elementary_divisors(IntMatrix(len(tail), len(tail), diagonal))
 
-    Each differential is split into its quantum-degree blocks, and each
-    block's nonzero elementary divisors are computed once.  Free rank is
-    the block size minus the outgoing and incoming ranks; torsion is
-    read off the incoming divisors, which is legitimate because the
-    torsion of the incoming cokernel already lies in the kernel of the
-    outgoing block.
+
+def _divisor_table(c: ChainComplex) -> dict:
+    """The nonzero elementary divisors of each (h, q) block of d_h.
+
+    Computed on the marked half S only (``_marked_half``) and doubled:
+    over Z the complex splits as S plus a copy of S shifted up by 2 in
+    q, so the (h, q) block of d_h is, up to a change of basis, S's (h, q)
+    block beside S's (h, q - 2) block.
     """
-    divisors = _divisor_table(c)
+    reduced, _ = _marked_half(c)
+    if not c.cube.diagram.arcs:
+        return reduced
+    keys = set(reduced) | {(h, q + 2) for h, q in reduced}
+    return {(h, q): _direct_sum(reduced.get((h, q), ()), reduced.get((h, q - 2), ())) for h, q in keys}
+
+
+def _table(divisors: dict, sizes: dict) -> dict:
+    """(free rank, torsion) per (h, q), from block sizes and divisors.
+
+    Free rank is the block size minus the outgoing and incoming ranks;
+    torsion is read off the incoming divisors, which is legitimate
+    because the torsion of the incoming cokernel already lies in the
+    kernel of the outgoing block.
+    """
     table = {}
-    for h, q in c.gradings():
+    for (h, q), n in sizes.items():
         incoming = divisors.get((h - 1, q), ())
-        free = len(c.q_block(h, q)) - len(divisors.get((h, q), ())) - len(incoming)
+        free = n - len(divisors.get((h, q), ())) - len(incoming)
         torsion = tuple(d for d in incoming if d > 1)
         if free or torsion:
             table[h, q] = (free, torsion)
-    return BigradedHomology(table)
+    return table
 
 
-def reduce_coefficients(c: ChainComplex, p: int) -> dict:
-    """Dimensions of mod-p homology per (h, q).
+def _sizes(c: ChainComplex) -> dict:
+    return {(h, q): n for h in c.degrees() for q, n in Counter(c.quantum_degrees(h)).items()}
 
-    Read off the divisor table of ``homology``: a block's rank over
-    GF(p) is the number of its elementary divisors prime to p.
+
+def _graded_blocks(c: ChainComplex, reduced: bool) -> tuple[dict, dict]:
+    """Divisor table and block sizes of C, or of S shifted up by 1 in q."""
+    if not reduced:
+        return _divisor_table(c), _sizes(c)
+    if not c.cube.diagram.arcs:
+        raise ValueError("the empty diagram has no component to mark")
+    divisors, sizes = _marked_half(c)
+    return (
+        {(h, q + 1): d for (h, q), d in divisors.items()},
+        {(h, q + 1): n for (h, q), n in sizes.items()},
+    )
+
+
+def homology(c: ChainComplex, reduced: bool = False) -> BigradedHomology:
+    """Integer homology per bigrading.
+
+    Over Z the odd Khovanov complex C splits as S plus S shifted by 2 in
+    q (Ozsvath-Rasmussen-Szabo), where S = x_a C is the subcomplex of
+    monomials holding the circle through a marked arc a; here a is the
+    diagram's smallest arc, whose circle is bit 0 of every mask.  Each
+    differential of S is split into its quantum-degree blocks, each
+    block's nonzero elementary divisors are computed once, and the
+    divisor table is doubled (``_divisor_table``) before ranks and
+    torsion are read off.
+
+    With ``reduced`` the table is reduced homology instead: the homology
+    of S, shifted up by 1 in q so that the unknot sits at (0, 0).
+    Homology is then the reduced table shifted by +1 plus the reduced
+    table shifted by -1 in q.  The empty diagram has no component to
+    mark, and its reduced homology is refused with ValueError.
+    """
+    return BigradedHomology(_table(*_graded_blocks(c, reduced)))
+
+
+def reduce_coefficients(c: ChainComplex, p: int, reduced: bool = False) -> dict:
+    """Dimensions of mod-p homology per (h, q), reduced or not.
+
+    Read off the divisor table of ``homology``, which comes from the
+    marked half S doubled (or S alone, when ``reduced``): a block's rank
+    over GF(p) is the number of its elementary divisors prime to p.
     """
     if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
         raise ValueError("p must be prime")
-    divisors = _divisor_table(c)
+    divisors, sizes = _graded_blocks(c, reduced)
     out = {}
-    for h, q in c.gradings():
+    for (h, q), n in sizes.items():
         ranks = sum(1 for key in ((h, q), (h - 1, q)) for d in divisors.get(key, ()) if d % p)
-        dim = len(c.q_block(h, q)) - ranks
+        dim = n - ranks
         if dim:
             out[h, q] = dim
     return out

@@ -56,9 +56,6 @@ class ExteriorSpace:
         self.basis()
         return self._index
 
-    def index_of(self, mask: int) -> int:
-        return self.basis_index()[mask]
-
     def __eq__(self, other):
         if not isinstance(other, ExteriorSpace):
             return NotImplemented

@@ -27,6 +27,7 @@ from .complexes import (
     equal_up_to_sign,
     graded_euler_characteristic,
     homology,
+    homology_presentation,
     homotopic_up_to_sign,
     identity_chain_map,
     induced_map_on_homology,
@@ -315,6 +316,45 @@ def run_functoriality(max_crossings: int = 12) -> list[Check]:
     return checks
 
 
+def _modulo_orders(cx, k, m: IntMatrix) -> IntMatrix:
+    """A dot map's matrix on homology at k = (h, q), rows reduced by their orders.
+
+    Row i is the target generator i of homology at (h, q - 2); a torsion
+    generator's entries are taken modulo its order, so a combination of
+    induced maps is compared as a map into the target group.
+    """
+    orders = homology_presentation(cx, k[0], k[1] - 2).orders
+    return IntMatrix(m.rows, m.cols, {(i, j): v % orders[i] if orders[i] else v for (i, j), v in m.data.items()})
+
+
+def overpass_relations(d, cx, induced: dict):
+    """Whether the dots on the two arcs of every overpass agree on homology.
+
+    ``induced`` maps each arc to its dot's induced maps on the homology
+    of ``cx``.  Returns (passed, detail).
+    """
+    for t, sign in zip(d.crossings, d.signs):
+        over_in, over_out = (t[3], t[1]) if sign == 1 else (t[1], t[3])
+        for k in induced[over_in]:
+            if not _modulo_orders(cx, k, induced[over_in][k] - induced[over_out][k]).is_zero():
+                return False, f"arcs {over_in} and {over_out} differ at {k}"
+    return True, "the two arcs of every overpass agree on homology"
+
+
+def crossing_relations(d, cx, induced: dict):
+    """Whether twice the overpass dot equals the two understrand dots, on homology.
+
+    ``induced`` is as in ``overpass_relations``.  Returns (passed, detail).
+    """
+    for t, sign in zip(d.crossings, d.signs):
+        over_in = t[3] if sign == 1 else t[1]
+        for k in induced[over_in]:
+            rel = induced[over_in][k].scale(2) - induced[t[0]][k] - induced[t[2]][k]
+            if not _modulo_orders(cx, k, rel).is_zero():
+                return False, f"crossing {t} fails at {k}"
+    return True, "twice the overpass equals the two understrand arcs, on homology"
+
+
 def run_dots(max_crossings: int = 12) -> list[Check]:
     """The dotted-cobordism algebra and the induced coloring relations."""
     checks: list[Check] = []
@@ -344,25 +384,8 @@ def run_dots(max_crossings: int = 12) -> list[Check]:
     d = left_trefoil()
     cx = _cx(d)
     induced = {a: induced_map_on_homology(dot_cobordism_map(cx, a)) for a in sorted(d.arcs)}
-
-    def arc_relations():
-        for t, sign in zip(d.crossings, d.signs):
-            over_in, over_out = (t[3], t[1]) if sign == 1 else (t[1], t[3])
-            for k in induced[over_in]:
-                if not (induced[over_in][k] - induced[over_out][k]).is_zero():
-                    return False, f"arcs {over_in} and {over_out} differ at {k}"
-        return True, "the two arcs of every overpass agree on homology"
-    _run(checks, "overpass_arc_relations", arc_relations)
-
-    def crossing_relations():
-        for t, sign in zip(d.crossings, d.signs):
-            over_in = t[3] if sign == 1 else t[1]
-            for k in induced[over_in]:
-                rel = induced[over_in][k].scale(2) - induced[t[0]][k] - induced[t[2]][k]
-                if not rel.is_zero():
-                    return False, f"crossing {t} fails at {k}"
-        return True, "twice the overpass equals the two understrand arcs, on homology"
-    _run(checks, "crossing_relations", crossing_relations)
+    _run(checks, "overpass_arc_relations", lambda: overpass_relations(d, cx, induced))
+    _run(checks, "crossing_relations", lambda: crossing_relations(d, cx, induced))
 
     def over_slide():
         t, sign = d.crossings[0], d.signs[0]

@@ -48,6 +48,33 @@ def test_homology_coefficients_json_on_8_19(tmp_path, capsys):
     assert sum(mod2.values()) > sum(free.values())
 
 
+@pytest.mark.parametrize("coeff,key", [("z", "rank"), ("z2", "dim"), ("q", "rank")])
+def test_homology_reduced_rows_double_to_the_full_rows(tmp_path, capsys, coeff, key):
+    path = tmp_path / "trefoil.json"
+    path.write_text(json.dumps(diagram_to_dict(left_trefoil())))
+    assert main(["homology", str(path), "--coeff", coeff, "--json", "--reduced"]) == 0
+    reduced = json.loads(capsys.readouterr().out)
+    assert main(["homology", str(path), "--coeff", coeff, "--json"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    doubled = {}
+    for r in reduced:
+        # The trefoil is torsion-free, so doubling only adds ranks.
+        assert not r.get("torsion")
+        for k in ((r["h"], r["q"] + 1), (r["h"], r["q"] - 1)):
+            doubled[k] = doubled.get(k, 0) + r[key]
+    assert doubled == {(r["h"], r["q"]): r[key] for r in full}
+    assert sum(r[key] for r in reduced) == 3
+
+
+@pytest.mark.parametrize("content", ["[[1, 2, 3, 4]]", '{"pd": []}'], ids=["unpaired-arcs", "empty"])
+def test_homology_reduced_rejects_bad_codes(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["homology", str(path), "--reduced"]) == 1
+    out = capsys.readouterr()
+    assert "error" in out.err and not out.out
+
+
 @pytest.mark.parametrize(
     "content",
     ["[[1, 2, 3]]", "[[1, 2, 3, 4]]", '{"pd": [], "colour": 1}', "not json"],

@@ -9,6 +9,7 @@ from oddkh.complexes import (
     assemble_complex,
     compose,
     equal_up_to_sign,
+    homology_presentation,
     homotopic_up_to_sign,
     identity_chain_map,
     induced_map_on_homology,
@@ -17,9 +18,10 @@ from oddkh.complexes import (
     zero_chain_map,
 )
 from oddkh.cube import build_cube
-from oddkh.fixtures import hopf_link, left_trefoil, rational_knot, unknot, unlink
+from oddkh.fixtures import hopf_link, left_trefoil, rational_knot, torus_knot_8_19, unknot, unlink
 from oddkh.linalg import IntMatrix, integer_rank
 from oddkh.linkdiag import LinkDiagram, add_free_circle, attach_band, resolve
+from oddkh.verify import crossing_relations, overpass_relations
 from oddkh.cobordism import (
     MovieError,
     bigon_retraction,
@@ -249,6 +251,24 @@ def test_trefoil_crossing_relations_vanish_on_homology():
         for k in induced[over_in]:
             rel = induced[over_in][k].scale(2) - induced[a][k] - induced[c][k]
             assert rel.is_zero()
+
+
+def test_dot_relations_hold_modulo_torsion_orders_on_8_19():
+    d = torus_knot_8_19()
+    cx = cx_of(d, "y")
+    induced = {a: induced_map_on_homology(dot_cobordism_map(cx, a)) for a in sorted(d.arcs)}
+    leftovers = []
+    for t, sign in zip(d.crossings, d.signs):
+        over_in = t[3] if sign == 1 else t[1]
+        for (h, q), m in induced[over_in].items():
+            rel = m.scale(2) - induced[t[0]][h, q] - induced[t[2]][h, q]
+            orders = homology_presentation(cx, h, q - 2).orders
+            leftovers += [(v, orders[i]) for (i, _), v in rel.data.items()]
+    # The raw combination is not zero: it leaves multiples of the order
+    # on torsion coordinates, which vanish in the target group.
+    assert leftovers and all(order > 1 and v % order == 0 for v, order in leftovers)
+    assert crossing_relations(d, cx, induced) == (True, "twice the overpass equals the two understrand arcs, on homology")
+    assert overpass_relations(d, cx, induced)[0]
 
 
 def test_dot_slides_across_one_overpass_up_to_homotopy():

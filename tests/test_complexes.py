@@ -460,6 +460,68 @@ def test_homology_matches_snf_reference_on_random_diagrams(diagram, theory):
     assert homology(c) == snf_reference_homology(c)
 
 
+def _reduced_table_marked_at(c, arc):
+    """Reduced homology with the circle through ``arc`` marked at every vertex."""
+    bits = {}
+    for alpha in c.cube.vertices():
+        r = c.cube.resolution(alpha)
+        bits[alpha] = c.cube.space(alpha).pos[r.circle_key(r.arc_circle[arc])]
+    table = complexes_module._table(*complexes_module._marked_half(c, bits))
+    return {(h, q + 1): group for (h, q), group in table.items()}
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_reduced_homology_does_not_depend_on_the_marked_arc(theory):
+    knots = 0
+    for name, diagram in named_diagrams(7):
+        if len(diagram.components) != 1:
+            continue
+        knots += 1
+        c = assemble_complex(build_cube(diagram, theory))
+        reduced = homology(c, reduced=True).table
+        for arc in diagram.arcs:
+            assert _reduced_table_marked_at(c, arc) == reduced, (name, arc)
+    assert knots > 10
+
+
+def invariant_factors(orders):
+    """The invariant factors above 1 of a sum of cyclic groups of these orders."""
+    n = len(orders)
+    diagonal = smith_normal_form(IntMatrix(n, n, {(k, k): d for k, d in enumerate(orders)})).diagonal
+    return tuple(d for d in diagonal if d > 1)
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_reduced_homology_doubles_to_homology_on_corpus(theory):
+    for name, diagram in named_diagrams(8):
+        if not diagram.arcs:
+            continue
+        c = assemble_complex(build_cube(diagram, theory))
+        doubled = {}
+        for (h, q), (rank, torsion) in homology(c, reduced=True).table.items():
+            for k in ((h, q + 1), (h, q - 1)):
+                free, orders = doubled.get(k, (0, ()))
+                doubled[k] = (free + rank, orders + torsion)
+        table = {k: (free, invariant_factors(orders)) for k, (free, orders) in doubled.items()}
+        assert table == homology(c).table, name
+
+
+def test_direct_sum_merges_invariant_factors():
+    # Z/2 + Z/3 is Z/6, the tuple the full block's Smith form reports.
+    assert complexes_module._direct_sum((1, 2), (3,)) == (1, 1, 6)
+    assert complexes_module._direct_sum((1, 2, 4), (1, 2)) == (1, 1, 2, 2, 4)
+    assert complexes_module._direct_sum((), ()) == ()
+
+
+def test_reduced_homology_refuses_the_empty_diagram():
+    c = assemble_complex(build_cube(parse_pd({"pd": []})))
+    assert homology(c).table == {(0, 0): (1, ())}
+    with pytest.raises(ValueError):
+        homology(c, reduced=True)
+    with pytest.raises(ValueError):
+        reduce_coefficients(c, 2, reduced=True)
+
+
 def test_mod_p_homology_matches_snf_reference_on_corpus():
     torsion_seen = set()
     for name, diagram in named_diagrams(8):

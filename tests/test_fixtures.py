@@ -228,8 +228,11 @@ def test_random_rational_links_have_forced_mod2_dimension(twists):
 def test_two_bridge_integer_homology_is_free_and_thin(twists, theory):
     # Ozsvath-Rasmussen-Szabo: quasi-alternating links have free, thin odd
     # Khovanov homology, two copies of a reduced group of rank det.
-    table = homology(assemble_complex(build_cube(rational_knot(twists), theory))).table
+    cx = assemble_complex(build_cube(rational_knot(twists), theory))
+    table = homology(cx).table
     assert all(not torsion for _, torsion in table.values())
     deltas = sorted({q - 2 * h for (h, q) in table})
     assert len(deltas) == 2 and deltas[1] - deltas[0] == 2
     assert sum(rank for rank, _ in table.values()) == 2 * cf_numerator(twists)
+    reduced = homology(cx, reduced=True).table
+    assert sum(rank for rank, _ in reduced.values()) == cf_numerator(twists)

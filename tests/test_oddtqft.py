@@ -16,7 +16,7 @@ def test_basis_order_weight_then_mask():
     sp = ExteriorSpace([4, 1, 9])
     assert sp.keys == (1, 4, 9)
     assert sp.basis() == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
-    assert sp.index_of(0b011) == 4
+    assert sp.basis_index()[0b011] == 4
 
 
 def test_relabel_sign_tracks_inversions():
@@ -110,7 +110,7 @@ def test_matrix_shape_and_content():
     s = split_map(src, dst, 2, 2, 5)
     # Unit column: +g2 and -g5, at rows 1 and 2 in (weight, mask) order.
     assert s.apply(0) == ((-1, 0b010), (1, 0b001))
-    assert [dst.index_of(m) for m in (0b001, 0b010)] == [1, 2]
+    assert [dst.basis_index()[m] for m in (0b001, 0b010)] == [1, 2]
 
 
 def test_space_validation():
