@@ -4,6 +4,8 @@ Flattens a cube with a coherent edge-sign choice into bigraded chain
 groups, computes integer homology blockwise from elementary divisors,
 and carries the chain-map calculus: composition, comparison up to sign,
 integral homotopy decision, and induced maps on homology presentations.
+Every reader groups generators by quantum degree through one layout
+(``_layout``) and cuts matrices into quantum blocks with one cutter.
 
 Homology tables are computed on half of the complex.  Ozsvath,
 Rasmussen and Szabo ("Odd Khovanov homology", AGT 2013) show that over
@@ -12,15 +14,15 @@ is the subcomplex of monomials that hold the circle through a marked
 arc a.  The marked arc is the diagram's smallest arc: circle keys are
 each circle's smallest arc and exterior spaces sort their keys, so its
 circle is bit 0 of every vertex's mask, and S is spanned by the
-generators (alpha, mask) with mask & 1.  ``homology`` and
-``reduce_coefficients`` take the elementary divisors of S's blocks and
-double them; presentations, induced maps and cobordism maps use the
-full complex.
+generators (alpha, mask) with mask & 1.  There is one homology table,
+S's: ``homology`` doubles it, or shifts it for reduced homology, and
+``reduce_coefficients`` reads mod-p dimensions off it by the universal
+coefficient theorem.  Presentations, induced maps and cobordism maps
+use the full complex.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .cube import Cube, _first_failing_face, _first_wrong_table, solve_sign_assignment
@@ -57,18 +59,18 @@ class ChainComplex:
     """
 
     __slots__ = (
-        "cube", "signs", "n_plus", "n_minus", "_basis", "_qdeg", "_index", "_diff", "_pres", "_blocks",
+        "cube", "signs", "n_minus", "_basis", "_qdeg", "_index", "_diff", "_layout", "_pres", "_blocks",
     )
 
     def __init__(self, cube: Cube, signs: dict, basis: dict, qdeg: dict, diff: dict):
         self.cube = cube
         self.signs = signs
-        self.n_plus = cube.diagram.n_plus
         self.n_minus = cube.diagram.n_minus
         self._basis = basis
         self._qdeg = qdeg
         self._index = {h: {g: i for i, g in enumerate(v)} for h, v in basis.items()}
         self._diff = diff
+        self._layout = None
         self._pres: dict[tuple[int, int], HomologyPresentation] = {}
         self._blocks: dict[int, dict[int, IntMatrix]] = {}
 
@@ -94,13 +96,10 @@ class ChainComplex:
         return d
 
     def gradings(self) -> list[tuple[int, int]]:
-        out = set()
-        for h, qs in self._qdeg.items():
-            out.update((h, q) for q in qs)
-        return sorted(out)
+        return sorted((h, q) for h, block in _layout(self).items() for q in block[0])
 
     def q_block(self, h: int, q: int) -> list[int]:
-        return [i for i, qq in enumerate(self._qdeg.get(h, ())) if qq == q]
+        return list(_layout(self).get(h, _EMPTY)[0].get(q, ()))
 
     def same_shape(self, other: "ChainComplex") -> bool:
         return self._basis == other._basis and self._qdeg == other._qdeg
@@ -261,40 +260,56 @@ class BigradedHomology:
         ]
 
 
-def _q_blocks(c: ChainComplex, h: int, marked: dict | None = None) -> dict:
-    """d_h cut into its quantum-degree blocks, in block coordinates.
+_EMPTY = ({}, (), ())
 
-    One pass over the nonzeros; each generator keeps its order inside
-    its block.  Keys are the quantum degrees of degree h.  With
-    ``marked`` (one 0/1 flag per generator of each degree) only the
-    marked generators are kept; they must span a subcomplex, so that a
-    marked column has marked rows only.
+
+def _layout(c: ChainComplex, marked: dict | None = None) -> dict:
+    """Each degree's quantum blocks: {h: (members, pos, qs)}.
+
+    ``members[q]`` lists the generators of quantum degree q in order,
+    ``pos[k]`` is generator k's place in its block and ``qs[k]`` its
+    quantum degree.  With ``marked`` (one 0/1 flag per generator of each
+    degree) only flagged generators count and the others get -1.  The
+    unmarked layout is built once per complex and kept on it.
     """
-    qs, qt = c.quantum_degrees(h), c.quantum_degrees(h + 1)
-    cols, src = _block_positions(qs, marked and marked[h])
-    rows, dst = _block_positions(qt, marked and marked[h + 1])
+    if marked is None and c._layout is not None:
+        return c._layout
+    out = {}
+    for h in c.degrees():
+        flags = marked and marked[h]
+        members: dict[int, list] = {}
+        pos = []
+        qs = c.quantum_degrees(h)
+        for k, q in enumerate(qs):
+            if flags is None or flags[k]:
+                block = members.setdefault(q, [])
+                pos.append(len(block))
+                block.append(k)
+            else:
+                pos.append(-1)
+        out[h] = (members, pos, qs)
+    if marked is None:
+        c._layout = out
+    return out
+
+
+def _cut(m: IntMatrix, src: tuple, dst: tuple, shift: int = 0) -> dict:
+    """A matrix that shifts quantum degree by ``shift``, cut into its blocks.
+
+    ``src`` and ``dst`` are the layouts (see ``_layout``) of the source
+    and target degrees, None for a degree with no generators.  One pass
+    over the nonzeros; each block is keyed by its source quantum degree
+    and written in block coordinates.  Columns outside the layout are
+    dropped; a kept column must have its rows inside it, as when the
+    marked generators span a subcomplex.
+    """
+    (cols, src_pos, qs), (rows, dst_pos, _) = src or _EMPTY, dst or _EMPTY
     by_q: dict[int, dict] = {q: {} for q in cols}
-    for (i, j), v in c.differential(h).data.items():
-        p = src[j]
+    for (i, j), v in m.data.items():
+        p = src_pos[j]
         if p >= 0:
-            by_q[qs[j]][dst[i], p] = v
-    return {q: IntMatrix(rows[q], cols[q], entries) for q, entries in by_q.items()}
-
-
-def _block_positions(qs, flags=None) -> tuple[Counter, list[int]]:
-    """Block sizes per quantum degree, and each generator's place in its block.
-
-    With ``flags`` only the flagged generators count; the others get -1.
-    """
-    sizes: Counter = Counter()
-    pos = []
-    for k, q in enumerate(qs):
-        if flags is None or flags[k]:
-            pos.append(sizes[q])
-            sizes[q] += 1
-        else:
-            pos.append(-1)
-    return sizes, pos
+            by_q[qs[j]][dst_pos[i], p] = v
+    return {q: IntMatrix(len(rows.get(q + shift, ())), len(cols[q]), e) for q, e in by_q.items()}
 
 
 def _marked_half(c: ChainComplex, bits: dict | None = None) -> tuple[dict, dict]:
@@ -315,17 +330,13 @@ def _marked_half(c: ChainComplex, bits: dict | None = None) -> tuple[dict, dict]
     if c.cube.diagram.arcs:
         bits = bits or {}
         marked = {h: [m >> bits.get(alpha, 0) & 1 for alpha, m in c.basis(h)] for h in c.degrees()}
-    divisors = {
-        (h, q): elementary_divisors(block)
-        for h in c._diff
-        for q, block in _q_blocks(c, h, marked).items()
-        if block.data
-    }
-    sizes = {
-        (h, q): n
-        for h in c.degrees()
-        for q, n in _block_positions(c.quantum_degrees(h), marked and marked[h])[0].items()
-    }
+    lay = _layout(c, marked)
+    divisors = {}
+    for h, d in c._diff.items():
+        for q, block in _cut(d, lay[h], lay.get(h + 1)).items():
+            if block.data:
+                divisors[h, q] = elementary_divisors(block)
+    sizes = {(h, q): len(gens) for h, block in lay.items() for q, gens in block[0].items()}
     return divisors, sizes
 
 
@@ -334,21 +345,6 @@ def _direct_sum(a: tuple, b: tuple) -> tuple:
     tail = [d for d in a + b if d > 1]
     diagonal = {(k, k): d for k, d in enumerate(tail)}
     return (1,) * (len(a) + len(b) - len(tail)) + elementary_divisors(IntMatrix(len(tail), len(tail), diagonal))
-
-
-def _divisor_table(c: ChainComplex) -> dict:
-    """The nonzero elementary divisors of each (h, q) block of d_h.
-
-    Computed on the marked half S only (``_marked_half``) and doubled:
-    over Z the complex splits as S plus a copy of S shifted up by 2 in
-    q, so the (h, q) block of d_h is, up to a change of basis, S's (h, q)
-    block beside S's (h, q - 2) block.
-    """
-    reduced, _ = _marked_half(c)
-    if not c.cube.diagram.arcs:
-        return reduced
-    keys = set(reduced) | {(h, q + 2) for h, q in reduced}
-    return {(h, q): _direct_sum(reduced.get((h, q), ()), reduced.get((h, q - 2), ())) for h, q in keys}
 
 
 def _table(divisors: dict, sizes: dict) -> dict:
@@ -369,21 +365,25 @@ def _table(divisors: dict, sizes: dict) -> dict:
     return table
 
 
-def _sizes(c: ChainComplex) -> dict:
-    return {(h, q): n for h in c.degrees() for q, n in Counter(c.quantum_degrees(h)).items()}
+def _homology_table(c: ChainComplex, reduced: bool) -> dict:
+    """The table of S, shifted up by 1 in q when ``reduced``, else doubled.
 
-
-def _graded_blocks(c: ChainComplex, reduced: bool) -> tuple[dict, dict]:
-    """Divisor table and block sizes of C, or of S shifted up by 1 in q."""
-    if not reduced:
-        return _divisor_table(c), _sizes(c)
-    if not c.cube.diagram.arcs:
+    Doubling adds S's groups at (h, q) and (h, q - 2): free ranks add and
+    the torsion of the two is merged into one invariant-factor chain.
+    """
+    if reduced and not c.cube.diagram.arcs:
         raise ValueError("the empty diagram has no component to mark")
-    divisors, sizes = _marked_half(c)
-    return (
-        {(h, q + 1): d for (h, q), d in divisors.items()},
-        {(h, q + 1): n for (h, q), n in sizes.items()},
-    )
+    table = _table(*_marked_half(c))
+    if reduced:
+        return {(h, q + 1): group for (h, q), group in table.items()}
+    if not c.cube.diagram.arcs:
+        return table
+    doubled = {}
+    for h, q in sorted(set(table) | {(h, q + 2) for h, q in table}):
+        free, torsion = table.get((h, q), (0, ()))
+        below, lifted = table.get((h, q - 2), (0, ()))
+        doubled[h, q] = (free + below, tuple(d for d in _direct_sum(torsion, lifted) if d > 1))
+    return doubled
 
 
 def homology(c: ChainComplex, reduced: bool = False) -> BigradedHomology:
@@ -393,36 +393,36 @@ def homology(c: ChainComplex, reduced: bool = False) -> BigradedHomology:
     q (Ozsvath-Rasmussen-Szabo), where S = x_a C is the subcomplex of
     monomials holding the circle through a marked arc a; here a is the
     diagram's smallest arc, whose circle is bit 0 of every mask.  Each
-    differential of S is split into its quantum-degree blocks, each
-    block's nonzero elementary divisors are computed once, and the
-    divisor table is doubled (``_divisor_table``) before ranks and
-    torsion are read off.
+    differential of S is cut into its quantum-degree blocks, each
+    block's nonzero elementary divisors are computed once, and S's table
+    is read off them.  The table of C is S's table doubled: the group at
+    (h, q) is S's group at (h, q) plus S's group at (h, q - 2).
 
-    With ``reduced`` the table is reduced homology instead: the homology
-    of S, shifted up by 1 in q so that the unknot sits at (0, 0).
-    Homology is then the reduced table shifted by +1 plus the reduced
-    table shifted by -1 in q.  The empty diagram has no component to
-    mark, and its reduced homology is refused with ValueError.
+    With ``reduced`` the table is reduced homology instead: S's table,
+    shifted up by 1 in q so that the unknot sits at (0, 0).  Homology is
+    then the reduced table shifted by +1 plus the reduced table shifted
+    by -1 in q.  The empty diagram has no component to mark, and its
+    reduced homology is refused with ValueError.
     """
-    return BigradedHomology(_table(*_graded_blocks(c, reduced)))
+    return BigradedHomology(_homology_table(c, reduced))
 
 
 def reduce_coefficients(c: ChainComplex, p: int, reduced: bool = False) -> dict:
     """Dimensions of mod-p homology per (h, q), reduced or not.
 
-    Read off the divisor table of ``homology``, which comes from the
-    marked half S doubled (or S alone, when ``reduced``): a block's rank
-    over GF(p) is the number of its elementary divisors prime to p.
+    Read off the integer table of ``homology`` by the universal
+    coefficient theorem: the mod-p group at (h, q) has the free rank
+    there plus one dimension for each invariant factor divisible by p at
+    (h, q) and at (h + 1, q).
     """
     if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
         raise ValueError("p must be prime")
-    divisors, sizes = _graded_blocks(c, reduced)
-    out = {}
-    for (h, q), n in sizes.items():
-        ranks = sum(1 for key in ((h, q), (h - 1, q)) for d in divisors.get(key, ()) if d % p)
-        dim = n - ranks
-        if dim:
-            out[h, q] = dim
+    out: dict = {}
+    for (h, q), (free, torsion) in _homology_table(c, reduced).items():
+        lifted = sum(1 for d in torsion if d % p == 0)
+        for key, n in (((h, q), free + lifted), ((h - 1, q), lifted)):
+            if n:
+                out[key] = out.get(key, 0) + n
     return out
 
 
@@ -552,39 +552,36 @@ def homotopic_up_to_sign(f: ChainMap, g: ChainMap):
     """
     _comparable(f, g)
     src, dst, shift = f.src, f.dst, f.q_shift
-    hs = sorted(set(src.degrees()) | {h + 1 for h in src.degrees()})
-    var_index: dict[tuple[int, int, int], int] = {}
-    for h in hs:
-        qs = src.quantum_degrees(h)
-        qt = dst.quantum_degrees(h - 1)
-        for j, qj in enumerate(qs):
-            for k, qk in enumerate(qt):
-                if qk == qj + shift:
-                    var_index[h, k, j] = len(var_index)
-    rows_of: dict[tuple[int, int, int], int] = {}
-    for h in src.degrees():
-        qs = src.quantum_degrees(h)
-        qt = dst.quantum_degrees(h)
-        for j, qj in enumerate(qs):
-            for i, qi in enumerate(qt):
-                if qi == qj + shift:
-                    rows_of[h, i, j] = len(rows_of)
+    src_lay, dst_lay = _layout(src), _layout(dst)
+
+    def numbering(k: int) -> dict:
+        # Unknowns (k = -1) or equations (k = 0): (h, i, j) for each
+        # source generator j of degree h and each partner i of quantum
+        # degree q_j + shift in target degree h + k, numbered in order.
+        index: dict[tuple[int, int, int], int] = {}
+        for h in src.degrees():
+            members = dst_lay.get(h + k, _EMPTY)[0]
+            for j, q in enumerate(src.quantum_degrees(h)):
+                for i in members.get(q + shift, ()):
+                    index[h, i, j] = len(index)
+        return index
+
+    var_index, rows_of = numbering(-1), numbering(0)
     entries: dict[tuple[int, int], int] = {}
     for h in src.degrees():
-        dd = dst.differential(h - 1)
-        for (i, k), v in dd.data.items():
-            for j in range(src.dim(h)):
-                col = var_index.get((h, k, j))
-                row = rows_of.get((h, i, j))
-                if col is not None and row is not None:
-                    entries[row, col] = entries.get((row, col), 0) + v
-        ds = src.differential(h)
-        for (m, j), v in ds.data.items():
-            for i in range(dst.dim(h)):
-                col = var_index.get((h + 1, i, m))
-                row = rows_of.get((h, i, j))
-                if col is not None and row is not None:
-                    entries[row, col] = entries.get((row, col), 0) + v
+        sources, _, qs = src_lay[h]
+        targets = dst_lay.get(h, _EMPTY)[0]
+        # (dH)[i, j] takes d[i, k] H[k, j] for j of quantum degree q_k - shift.
+        qk = dst.quantum_degrees(h - 1)
+        for (i, k), v in dst.differential(h - 1).data.items():
+            for j in sources.get(qk[k] - shift, ()):
+                key = rows_of[h, i, j], var_index[h, k, j]
+                entries[key] = entries.get(key, 0) + v
+        # (Hd)[i, j] takes H[i, m] d[m, j] for i of quantum degree q_j + shift.
+        for (m, j), v in src.differential(h).data.items():
+            for i in targets.get(qs[j] + shift, ()):
+                key = rows_of[h, i, j], var_index[h + 1, i, m]
+                entries[key] = entries.get(key, 0) + v
     system = IntMatrix(len(rows_of), len(var_index), entries)
     for s in (1, -1):
         b = [0] * len(rows_of)
@@ -663,11 +660,11 @@ class HomologyPresentation:
 def homology_presentation(c: ChainComplex, h: int, q: int) -> HomologyPresentation:
     pres = c._pres.get((h, q))
     if pres is None:
-        for k in (h - 1, h):
-            if k not in c._blocks:
-                c._blocks[k] = _q_blocks(c, k)
-        outgoing = c._blocks[h].get(q, IntMatrix.zero(0, 0))
-        incoming = c._blocks[h - 1].get(q, IntMatrix.zero(outgoing.cols, 0))
+        if not c._blocks:
+            lay = _layout(c)
+            c._blocks = {k: _cut(c.differential(k), here, lay.get(k + 1)) for k, here in lay.items()}
+        outgoing = c._blocks.get(h, {}).get(q, IntMatrix.zero(0, 0))
+        incoming = c._blocks.get(h - 1, {}).get(q, IntMatrix.zero(outgoing.cols, 0))
         pres = HomologyPresentation(incoming, outgoing)
         c._pres[h, q] = pres
     return pres
@@ -681,18 +678,17 @@ def induced_map_on_homology(f: ChainMap) -> dict:
     """
     if not is_chain_map(f):
         raise ValueError("not a chain map")
+    dst_lay = _layout(f.dst)
+    blocks = {h: _cut(f.block(h), here, dst_lay.get(h), f.q_shift) for h, here in _layout(f.src).items()}
     out = {}
     for h, q in f.src.gradings():
         ps = homology_presentation(f.src, h, q)
         if not ps.orders:
             continue
         pd = homology_presentation(f.dst, h, q + f.q_shift)
-        block = f.block(h).submatrix(
-            f.dst.q_block(h, q + f.q_shift), f.src.q_block(h, q)
-        )
         entries = {}
         for j in range(len(ps.orders)):
-            image = block.apply(ps.generator(j))
+            image = blocks[h][q].apply(ps.generator(j))
             for i, v in enumerate(pd.coords(image)):
                 if v:
                     entries[i, j] = v

@@ -250,7 +250,8 @@ def parse_pd(data, signs=None, free_circles=0) -> LinkDiagram:
 
     Accepts either a list of crossing 4-tuples or a dict with keys
     ``pd`` and optionally ``signs`` and ``free_circles``.  Free circles
-    get fresh arc labels above everything used by the crossings.
+    get fresh arc labels above everything used by the crossings.  Arc
+    labels and ``free_circles`` must be ints; a float or bool is refused.
     """
     if isinstance(data, dict):
         unknown = set(data) - {"pd", "signs", "free_circles"}
@@ -261,7 +262,11 @@ def parse_pd(data, signs=None, free_circles=0) -> LinkDiagram:
         free_circles = data.get("free_circles", free_circles)
     else:
         pd = data
-    pd = [tuple(int(a) for a in row) for row in pd]
+    pd = [tuple(row) for row in pd]
+    if not all(type(a) is int for row in pd for a in row):
+        raise ValueError("arc labels must be integers")
+    if type(free_circles) is not int or free_circles < 0:
+        raise ValueError(f"free_circles must be a nonnegative integer, got {free_circles!r}")
     top = max((a for row in pd for a in row), default=0)
     free = tuple(top + 1 + i for i in range(free_circles))
     diagram = LinkDiagram(pd, free_arcs=free, signs=signs)
@@ -338,10 +343,10 @@ class Resolution:
         self.diagram = diagram
         self.alpha = alpha
         self.circles = circles
-        self.keys = tuple(min(arcs) for arcs, _, _ in circles)
+        self.keys = tuple(min(arcs) for arcs, _ in circles)
         self.arc_circle = {}
         self.slot_circle = {}
-        for idx, (arcs, dirs, transits) in enumerate(circles):
+        for idx, (arcs, transits) in enumerate(circles):
             for a in arcs:
                 self.arc_circle[a] = idx
             for c, s_in, s_out in transits:
@@ -356,7 +361,7 @@ class Resolution:
         return self.circles[idx][0]
 
     def circle_transits(self, idx: int) -> tuple:
-        return self.circles[idx][2]
+        return self.circles[idx][1]
 
     def circle_key(self, idx: int) -> int:
         return self.keys[idx]
@@ -384,7 +389,7 @@ def resolve(diagram: LinkDiagram, alpha: int) -> Resolution:
             continue
         if start_arc in diagram.free_arcs:
             visited.add(start_arc)
-            circles.append(((start_arc,), (True,), ()))
+            circles.append(((start_arc,), ()))
             continue
         d = diagram.arc_dir[start_arc]
         if d is not None:
@@ -392,15 +397,13 @@ def resolve(diagram: LinkDiagram, alpha: int) -> Resolution:
         else:
             cur = diagram.occurrences[start_arc][0]
         start = cur
-        arcs, dirs, transits = [], [], []
+        arcs, transits = [], []
         while True:
             arc = crossings[cur[0]][cur[1]]
             visited.add(arc)
             occ_a, occ_b = diagram.occurrences[arc]
             nxt_occ = occ_b if cur == occ_a else occ_a
-            ad = diagram.arc_dir[arc]
             arcs.append(arc)
-            dirs.append(ad is None or ad[0] == cur)
             ci, s_in = nxt_occ
             bit = (alpha >> ci) & 1
             s_out = _smoothing_partner(bit, s_in)
@@ -409,7 +412,7 @@ def resolve(diagram: LinkDiagram, alpha: int) -> Resolution:
             if out == start:
                 break
             cur = out
-        circles.append((tuple(arcs), tuple(dirs), tuple(transits)))
+        circles.append((tuple(arcs), tuple(transits)))
     circles.sort(key=lambda c: min(c[0]))
     return Resolution(diagram, alpha, circles)
 

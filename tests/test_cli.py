@@ -77,8 +77,14 @@ def test_homology_reduced_rejects_bad_codes(tmp_path, capsys, content):
 
 @pytest.mark.parametrize(
     "content",
-    ["[[1, 2, 3]]", "[[1, 2, 3, 4]]", '{"pd": [], "colour": 1}', "not json"],
-    ids=["three-slot-crossing", "unpaired-arcs", "unknown-key", "invalid-json"],
+    [
+        "[[1, 2, 3]]", "[[1, 2, 3, 4]]", '{"pd": [], "colour": 1}', "not json",
+        '{"pd": [[1, 1, 2, 2.9]]}', '{"pd": [[1, 1, 2, 2]], "free_circles": -3}',
+    ],
+    ids=[
+        "three-slot-crossing", "unpaired-arcs", "unknown-key", "invalid-json",
+        "float-label", "negative-free-circles",
+    ],
 )
 def test_homology_rejects_malformed_codes(tmp_path, capsys, content):
     path = tmp_path / "bad.json"

@@ -26,6 +26,7 @@ from oddkh.complexes import (
     zero_chain_map,
 )
 from oddkh import cube as cube_module
+from oddkh.cobordism import dot_cobordism_map, saddle_cobordism_map
 from oddkh.cube import build_cube, classify_face, enumerate_sign_assignments, solve_sign_assignment
 from oddkh.fixtures import braid_closure, rational_knot
 from oddkh.linalg import IntMatrix, smith_normal_form, solve_integer
@@ -457,7 +458,10 @@ _braid_letters = st.sampled_from([1, -1, 2, -2])
 )
 def test_homology_matches_snf_reference_on_random_diagrams(diagram, theory):
     c = assemble_complex(build_cube(diagram, theory))
-    assert homology(c) == snf_reference_homology(c)
+    reference = snf_reference_homology(c)
+    assert homology(c) == reference
+    for p in (2, 3):
+        assert reduce_coefficients(c, p) == universal_coefficients(reference.table, p), p
 
 
 def _reduced_table_marked_at(c, arc):
@@ -553,6 +557,61 @@ def test_homology_presentations_match_homology_on_corpus():
                     assert solve_integer(incoming, [d * x for x in gen]) is not None
             for j in range(incoming.cols):
                 assert not any(pres.coords(incoming.column(j)))
+
+
+def _scanned_block(c, h, q):
+    return [i for i, qq in enumerate(c.quantum_degrees(h)) if qq == q]
+
+
+def _scanned_presentation(c, h, q):
+    here = _scanned_block(c, h, q)
+    outgoing = c.differential(h).submatrix(_scanned_block(c, h + 1, q), here)
+    incoming = c.differential(h - 1).submatrix(here, _scanned_block(c, h - 1, q))
+    return HomologyPresentation(incoming, outgoing)
+
+
+def reference_induced_map(f, presentations):
+    """The induced map with every block cut by a scan of the quantum degrees.
+
+    ``presentations`` caches each complex's scanned presentations.
+    """
+
+    def presentation(c, h, q):
+        key = id(c), h, q
+        if key not in presentations:
+            presentations[key] = _scanned_presentation(c, h, q)
+        return presentations[key]
+
+    out = {}
+    for h in f.src.degrees():
+        for q in sorted(set(f.src.quantum_degrees(h))):
+            ps = presentation(f.src, h, q)
+            if not ps.orders:
+                continue
+            pd = presentation(f.dst, h, q + f.q_shift)
+            block = f.block(h).submatrix(_scanned_block(f.dst, h, q + f.q_shift), _scanned_block(f.src, h, q))
+            entries = {}
+            for j in range(len(ps.orders)):
+                for i, v in enumerate(pd.coords(block.apply(ps.generator(j)))):
+                    if v:
+                        entries[i, j] = v
+            out[h, q] = IntMatrix(len(pd.orders), len(ps.orders), entries)
+    return out
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_induced_maps_match_a_scanned_reference_on_corpus(theory):
+    shifts = set()
+    for name, diagram in named_diagrams(7):
+        c = assemble_complex(build_cube(diagram, theory))
+        presentations = {}
+        maps = [dot_cobordism_map(c, a) for a in sorted(diagram.arcs)]
+        if diagram.arcs:
+            maps.append(saddle_cobordism_map(c, min(diagram.arcs), min(diagram.arcs)))
+        for f in maps:
+            shifts.add(f.q_shift)
+            assert induced_map_on_homology(f) == reference_induced_map(f, presentations), (name, f.q_shift)
+    assert shifts == {-2, -1}
 
 
 def test_homology_presentation_refuses_non_cycles_and_bad_differentials():

@@ -62,6 +62,18 @@ def test_parse_rejects_bad_codes():
         parse_pd(TREFOIL, signs=[1, 1])  # wrong length
     with pytest.raises(ValueError):
         parse_pd(TREFOIL, signs=[1, 1, 1])  # contradicts inference
+    with pytest.raises(ValueError):
+        parse_pd([[1, 1, 2, 2.9]])  # not truncated to [[1, 1, 2, 2]]
+    with pytest.raises(ValueError):
+        parse_pd([[1, 1, 2, 2.0]])  # a float, even a whole one
+    with pytest.raises(ValueError):
+        parse_pd([[True, 1, 2, 2]])  # not read as [[1, 1, 2, 2]]
+    with pytest.raises(ValueError):
+        parse_pd({"pd": TREFOIL, "free_circles": -3})
+    with pytest.raises(ValueError):
+        parse_pd({"pd": TREFOIL, "free_circles": 1.5})
+    with pytest.raises(ValueError):
+        parse_pd(TREFOIL, free_circles=True)
 
 
 @pytest.mark.parametrize(
