@@ -40,10 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _crossing_cap() -> int:
     raw = os.environ.get("ODDKH_MAX_CROSSINGS", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_CROSSINGS
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_CROSSINGS
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"ODDKH_MAX_CROSSINGS must be a nonnegative integer, not {raw!r}")
+    return int(raw)
 
 
 def _read_json(path: str):
@@ -182,7 +183,12 @@ def cmd_movie(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    checks = run_suite(args.suite, args.max_crossings)
+    try:
+        cap = _crossing_cap() if args.max_crossings is None else args.max_crossings
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    checks = run_suite(args.suite, cap)
     failed = [c for c in checks if not c.passed]
     if args.json:
         _print_json({
@@ -228,7 +234,7 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run a named verification suite", description="Run one of the bundled verification suites and report each check.")
     p_ver.add_argument("suite", choices=sorted(SUITES))
-    p_ver.add_argument("--max-crossings", type=int, default=_crossing_cap(), help="cap on fixture size")
+    p_ver.add_argument("--max-crossings", type=int, help="cap on fixture size (default: ODDKH_MAX_CROSSINGS, else 12)")
     p_ver.add_argument("--json", action="store_true", help="machine-readable output")
     p_ver.set_defaults(fn=cmd_verify)
 

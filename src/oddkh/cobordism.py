@@ -6,9 +6,10 @@ small complex, which they check.  Conventions:
 
 - Births include, deaths contract, dots wedge.  Deaths and dots carry
   the per-vertex sign (-1)^s, with the exponent s from ``s_value``.
-- Saddles ride an auxiliary band site.  The sign extension over the
-  enlarged cube is pinned to both end assignments and then flipped, if
-  need be, so the band edge at the all-zero resolution is positive.  A
+- Saddles ride an auxiliary band site.  The band signs are walked from
+  +1 at the all-zero resolution across the faces through the band, by
+  the vertex-sign walk the retractions and relabelings share, so that
+  each such face is coherent with the canonical signs of both ends.  A
   band that joins two link components therefore acts with no signs at
   all.
 - Reidemeister 1 and 2 maps are strong deformation retractions: the
@@ -34,7 +35,7 @@ from .complexes import (
     identity_chain_map,
     is_chain_map,
 )
-from .cube import Cube, build_cube, extend_sign_assignment
+from .cube import Cube, _face_sigmas, build_cube
 from .linalg import IntMatrix, _back_substitute, _eliminate_units
 from .linkdiag import (
     LinkDiagram,
@@ -141,11 +142,14 @@ def dot_cobordism_map(cx: ChainComplex, arc: int) -> ChainMap:
 def saddle_cobordism_map(cx: ChainComplex, arc1: int, arc2: int) -> ChainMap:
     """Band surgery between two arcs, or from one arc to itself.
 
-    The band site is smoothed 0 on the source side and 1 on the target
-    side.  Both slices of the enlarged cube are pinned to the canonical
-    signs of the two complexes, the extension fills in the band edges,
-    and they are all flipped if the band edge at the all-zero
-    resolution came out negative.
+    The band site is the top crossing of the enlarged cube, smoothed 0
+    on the source side and 1 on the target side.  Coherence on a face
+    (alpha, c, site) through the band gives the band sign b one step
+    along c: b(alpha + c) = -sigma * eps_src(alpha, c) * eps_dst(alpha,
+    c) * b(alpha), with sigma the face's path sign and eps_src, eps_dst
+    the canonical signs of the two complexes.  ``_vertex_signs`` walks
+    this rule from b(0) = +1, and every face through the band is then
+    checked, so only those faces are classified.
     """
     d = cx.cube.diagram
     banded, site = attach_band(d, arc1, arc2)
@@ -153,24 +157,25 @@ def saddle_cobordism_map(cx: ChainComplex, arc1: int, arc2: int) -> ChainMap:
     try:
         dst = assemble_complex(build_cube(surgered, cx.cube.theory))
         aux = build_cube(banded, cx.cube.theory)
-        bit = 1 << site
-        pinned = {}
-        for a, c in cx.cube.edges():
-            pinned[a, c] = cx.signs[a, c]
-        for a, c in dst.cube.edges():
-            pinned[a | bit, c] = dst.signs[a, c]
-        eps = extend_sign_assignment(aux, pinned)
+        sigma = _face_sigmas(aux, ((f, k) for f, k in aux.face_keys() if f[2] == site))
     except AssertionError as e:
         raise ValueError(f"no planar band from {arc1} to {arc2}: {e}") from e
-    if eps[0, site] == -1:
-        eps = {e: (-v if e[1] == site else v) for e, v in eps.items()}
+
+    def ratio(alpha, c):
+        return -sigma[alpha, c, site] * cx.signs[alpha, c] * dst.signs[alpha, c]
+
+    band = _vertex_signs(cx.cube.vertices(), ratio)
+    for alpha, c in cx.cube.edges():
+        if band[alpha | 1 << c] != ratio(alpha, c) * band[alpha]:
+            raise ValueError(f"band signs from {arc1} to {arc2} fail on face {(alpha, c, site)}")
+    bit = 1 << site
 
     def factor(alpha):
         if aux.space(alpha).keys != cx.cube.space(alpha).keys:
             raise AssertionError(f"band cube and source disagree on circles at {alpha}")
         if aux.space(alpha | bit).keys != dst.cube.space(alpha).keys:
             raise AssertionError(f"band cube and target disagree on circles at {alpha}")
-        scalar = eps[alpha, site] * (-1 if alpha.bit_count() & 1 else 1)
+        scalar = band[alpha] * (-1 if alpha.bit_count() & 1 else 1)
         return scalar, alpha, aux.edge_map(alpha, site)
 
     return _vertexwise(cx, dst, -1, factor)
@@ -339,6 +344,20 @@ def _small_complex(big_cx: ChainComplex, small: LinkDiagram, small_cx, what: str
     return small_cx
 
 
+def _unit_pair(cx: ChainComplex, alpha: int, c: int, mask: int, need: int, what: str):
+    """Pair generator (alpha, mask) with its unit image along edge (alpha, c).
+
+    Only image terms whose mask holds every bit of ``need`` count; there
+    must be exactly one, with coefficient +1 or -1.  Returns (x, y) as
+    (degree, index) pairs for ``_retract``.
+    """
+    terms = [t for t in cx.cube.edge_terms(alpha, c, mask) if t[1] & need == need]
+    if len(terms) != 1 or abs(terms[0][0]) != 1:
+        raise AssertionError(f"{what} is not one unit term")
+    h = alpha.bit_count() - cx.n_minus
+    return (h, cx.index(h, (alpha, mask))), (h + 1, cx.index(h + 1, (alpha | 1 << c, terms[0][1])))
+
+
 def _find_kink(diagram: LinkDiagram, arc: int):
     """Locate the curl crossing an arc belongs to.
 
@@ -375,27 +394,16 @@ def kink_retraction(big_cx: ChainComplex, crossing: int, small_cx: ChainComplex 
 
     bit = 1 << crossing
     cube = big_cx.cube
-    nm = big_cx.n_minus
     pairs = []
     for alpha in cube.vertices():
         if alpha & bit:
             continue
         sp = cube.space(alpha)
         lbit = (1 << sp.pos[loop]) if curl_bit == 0 else 0
-        h = alpha.bit_count() - nm
+        need = 0 if curl_bit == 0 else 1 << cube.space(alpha | bit).pos[loop]
         for mask in sp.basis():
-            if curl_bit == 0 and mask & lbit:
-                continue  # curl-divisible generators survive on the 0 side
-            terms = [
-                (coeff, out)
-                for coeff, out in cube.edge_terms(alpha, crossing, mask)
-                if curl_bit == 0 or out & (1 << cube.space(alpha | bit).pos[loop])
-            ]
-            if len(terms) != 1 or abs(terms[0][0]) != 1:
-                raise AssertionError(f"curl edge at {alpha} is not one unit term")
-            x = (h, big_cx.index(h, (alpha, mask)))
-            y = (h + 1, big_cx.index(h + 1, (alpha | bit, terms[0][1])))
-            pairs.append((x, y))
+            if not mask & lbit:  # curl-divisible generators survive on the 0 side
+                pairs.append(_unit_pair(big_cx, alpha, crossing, mask, need, f"curl edge at {alpha}"))
 
     kept_bit = curl_bit
 
@@ -513,7 +521,6 @@ def bigon_retraction(big_cx: ChainComplex, arcs: tuple, small_cx: ChainComplex |
     small_cx = _small_complex(big_cx, small, small_cx, "straightened")
 
     cube = big_cx.cube
-    nm = big_cx.n_minus
     pair_bits = (1 << k1) | (1 << k2)
     v_lens = lens[0] << k1 | lens[1] << k2
     k_to_lens = k1 if lens[0] else k2
@@ -522,34 +529,17 @@ def bigon_retraction(big_cx: ChainComplex, arcs: tuple, small_cx: ChainComplex |
     for alpha in cube.vertices():
         if alpha & pair_bits:
             continue
-        h = alpha.bit_count() - nm
-        sp0 = cube.space(alpha)
         spl = cube.space(alpha | v_lens)
         lbit = 1 << spl.pos[lens_key]
         # Round one: every generator at the restored smoothing pairs
         # with its lens-divisible image one step up.
-        for mask in sp0.basis():
-            terms = [
-                (c, out)
-                for c, out in cube.edge_terms(alpha, k_to_lens, mask)
-                if out & lbit
-            ]
-            if len(terms) != 1 or abs(terms[0][0]) != 1:
-                raise AssertionError(f"lens edge at {alpha} is not one unit term")
-            x = (h, big_cx.index(h, (alpha, mask)))
-            y = (h + 1, big_cx.index(h + 1, (alpha | v_lens, terms[0][1])))
-            pairs.append((x, y))
+        for mask in cube.space(alpha).basis():
+            pairs.append(_unit_pair(big_cx, alpha, k_to_lens, mask, lbit, f"lens edge at {alpha}"))
         # Round two: the lens-free remainder pairs with the fully
         # smoothed slice across the merge that eats the lens circle.
         for mask in spl.basis():
-            if mask & lbit:
-                continue
-            terms = cube.edge_terms(alpha | v_lens, k_to_full, mask)
-            if len(terms) != 1 or abs(terms[0][0]) != 1:
-                raise AssertionError(f"merge into the lens at {alpha} is not one unit term")
-            x = (h + 1, big_cx.index(h + 1, (alpha | v_lens, mask)))
-            y = (h + 2, big_cx.index(h + 2, (alpha | pair_bits, terms[0][1])))
-            pairs.append((x, y))
+            if not mask & lbit:
+                pairs.append(_unit_pair(big_cx, alpha | v_lens, k_to_full, mask, 0, f"merge into the lens at {alpha}"))
 
     v_braid = braid[0] << k1 | braid[1] << k2
     drop = tuple(sorted((k1, k2)))

@@ -428,21 +428,22 @@ def _key_sign(cube: Cube, alpha: int, c1: int, c2: int):
     return sigma
 
 
-def _face_sigmas(cube: Cube) -> dict:
-    """The path-comparison sign of every face, classified once per key.
+def _face_sigmas(cube: Cube, faces) -> dict:
+    """The path-comparison sign of each (face, key) pair, classified once per key.
 
-    The first face of each key is classified, and the key's sign is
-    measured on every monomial (``_key_sign``), which is the d^2 check
-    of all faces of that key; the other faces of the key take that
-    sign, and the first face keeps its own classification, so a face
-    classified against its paths leaves the system without solution.
-    Vanishing-path faces (shapes vi and x) are classified one by one,
-    since their sign is geometric.  So ``classify_face`` runs once per
-    key plus once per vi/x face after the first of its key.
+    The sign solvers pass every face (``Cube.face_keys``), a saddle only
+    those through its band site.  The first face of each key is
+    classified, and the key's sign is measured on every monomial
+    (``_key_sign``), the d^2 check of all faces of that key; the others
+    take that sign, and the first keeps its own classification, so a
+    face classified against its paths leaves the system without
+    solution.  Vanishing-path faces (shapes vi and x) keep their
+    geometric sign, classified one by one.  So ``classify_face`` runs
+    once per key plus once per vi/x face after the first of its key.
     """
     known = cube._face_sigma
     out = {}
-    for face, key in cube.face_keys():
+    for face, key in faces:
         s = known.get(key)
         if s is None:
             if key not in known:
@@ -594,7 +595,7 @@ def solve_sign_assignment(cube: Cube) -> dict:
     that forest edges read +1 (and pinned edges their pins) gives the
     canonical answer in time linear in the number of faces.
     """
-    return _canonical_signs(cube, _face_sigmas(cube), {}, "no coherent edge signs exist")
+    return _canonical_signs(cube, _face_sigmas(cube, cube.face_keys()), {}, "no coherent edge signs exist")
 
 
 def enumerate_sign_assignments(cube: Cube) -> list[dict]:
@@ -606,7 +607,7 @@ def enumerate_sign_assignments(cube: Cube) -> list[dict]:
     # Product of the four edge signs must be -sigma: as bits, the row
     # sums to 1 exactly when sigma is +1.
     rows, rhs = [], []
-    for (alpha, c1, c2), sigma in _face_sigmas(cube).items():
+    for (alpha, c1, c2), sigma in _face_sigmas(cube, cube.face_keys()).items():
         row = 0
         for e in face_edges(alpha, c1, c2):
             row |= 1 << index[e]
@@ -645,7 +646,7 @@ def arrow_flipped_signs(cube: Cube, reversed_crossings) -> dict:
     flip = set(reversed_crossings)
     # _face_sigmas runs edge_shape, and with it the checks of ``edge``,
     # on every edge; a split is then an edge that adds a circle.
-    sigma = _face_sigmas(cube)
+    sigma = _face_sigmas(cube, cube.face_keys())
     circles = [cube.resolution(alpha).n_circles for alpha in cube.vertices()]
     negated = {(a, c) for a, c in cube.edges() if c in flip and circles[a | 1 << c] > circles[a]}
     for f in sigma:
@@ -664,4 +665,4 @@ def extend_sign_assignment(cube: Cube, pinned: dict) -> dict:
     coherent assignment, that is when a cycle of pinned edges has the
     wrong parity.
     """
-    return _canonical_signs(cube, _face_sigmas(cube), pinned, "pinned signs admit no coherent completion")
+    return _canonical_signs(cube, _face_sigmas(cube, cube.face_keys()), pinned, "pinned signs admit no coherent completion")

@@ -152,16 +152,19 @@ def run_invariance(max_crossings: int = 12) -> list[Check]:
     return checks
 
 
-def _witnessed_identity(f, label):
-    """Check f is homotopic to plus or minus the identity, replaying the witness."""
-    ident = identity_chain_map(f.src)
-    s, H = homotopic_up_to_sign(f, ident)
+def _witnessed_homotopy(f, g, missing):
+    """The sign s with f homotopic to s times g, its witness replayed.
+
+    Returns (s, None), or (None, why): ``missing`` when no homotopy to
+    either sign of g exists, else the degree where the witness fails.
+    """
+    s, H = homotopic_up_to_sign(f, g)
     if H is None:
-        return False, f"{label}: no homotopy to either sign of the identity"
-    h = replay_homotopy(f, ident, s, H)
+        return None, missing
+    h = replay_homotopy(f, g, s, H)
     if h is not None:
-        return False, f"{label}: witness fails in degree {h}"
-    return True, f"{label}: homotopic to {s:+d} times the identity, witness replayed"
+        return None, f"witness fails in degree {h}"
+    return s, None
 
 
 def run_functoriality(max_crossings: int = 12) -> list[Check]:
@@ -212,10 +215,11 @@ def run_functoriality(max_crossings: int = 12) -> list[Check]:
                     return False, f"not a chain map on {hostname}"
                 if compose(undo, do) != identity_chain_map(cx):
                     return False, f"undo after do is not the identity on {hostname}"
-                ok, detail = _witnessed_identity(compose(do, undo), f"do after undo on {hostname}")
-                if not ok:
-                    return False, detail
-                replayed.append(detail)
+                label, loop = f"do after undo on {hostname}", compose(do, undo)
+                s, why = _witnessed_homotopy(loop, identity_chain_map(loop.src), "no homotopy to either sign of the identity")
+                if s is None:
+                    return False, f"{label}: {why}"
+                replayed.append(f"{label}: homotopic to {s:+d} times the identity, witness replayed")
             return True, "; ".join(replayed)
         return inner
 
@@ -391,12 +395,9 @@ def run_dots(max_crossings: int = 12) -> list[Check]:
         t, sign = d.crossings[0], d.signs[0]
         over_in, over_out = (t[3], t[1]) if sign == 1 else (t[1], t[3])
         f, g = dot_cobordism_map(cx, over_in), dot_cobordism_map(cx, over_out)
-        s, H = homotopic_up_to_sign(f, g)
-        if H is None:
-            return False, "no homotopy between the slid dots"
-        h = replay_homotopy(f, g, s, H)
-        if h is not None:
-            return False, f"witness fails in degree {h}"
+        s, why = _witnessed_homotopy(f, g, "no homotopy between the slid dots")
+        if s is None:
+            return False, why
         return True, f"dot slides over the crossing with sign {s:+d}, witness replayed"
     _run(checks, "dot_slides_over_crossing", over_slide)
     return checks

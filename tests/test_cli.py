@@ -266,15 +266,46 @@ def test_homology_rejects_unreadable_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_verify_functoriality_passes(capsys):
-    assert main(["verify", "functoriality"]) == 0
-    assert re.search(r"# functoriality: (\d+)/\1 passed", capsys.readouterr().out)
+@pytest.mark.parametrize("suite", sorted(verify_module.SUITES))
+def test_verify_suite_passes(capsys, suite):
+    # signs runs the enumeration, the canonical solve and the arrow flips.
+    assert main(["verify", suite]) == 0
+    assert re.search(rf"# {suite}: (\d+)/\1 passed", capsys.readouterr().out)
 
 
-def test_verify_signs_passes(capsys):
-    # Runs the enumeration, the canonical solve and the arrow flips.
-    assert main(["verify", "signs"]) == 0
-    assert re.search(r"# signs: (\d+)/\1 passed", capsys.readouterr().out)
+def cap_inputs(tmp_path):
+    diagram = tmp_path / "trefoil.json"
+    diagram.write_text(json.dumps(diagram_to_dict(left_trefoil())))
+    script = tmp_path / "movie.json"
+    script.write_text(json.dumps(script_to_dict(unlink(2), [saddle_event(1, 2)])))
+    return {"homology": [str(diagram)], "movie": [str(script)], "verify": ["hecke"]}
+
+
+@pytest.mark.parametrize("command", ["homology", "movie", "verify"])
+@pytest.mark.parametrize("raw", ["abc", "1.5", "-1", " 3", "1e3"])
+def test_malformed_crossing_cap_is_refused(tmp_path, capsys, monkeypatch, command, raw):
+    monkeypatch.setenv("ODDKH_MAX_CROSSINGS", raw)
+    assert main([command, *cap_inputs(tmp_path)[command]]) == 1
+    out = capsys.readouterr()
+    assert "ODDKH_MAX_CROSSINGS must be a nonnegative integer" in out.err and not out.out
+
+
+@pytest.mark.parametrize("command", ["homology", "movie", "verify"])
+def test_wellformed_crossing_cap_is_read(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("ODDKH_MAX_CROSSINGS", "3")
+    assert main([command, *cap_inputs(tmp_path)[command]]) == 0
+
+
+def test_crossing_cap_refuses_a_larger_diagram(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ODDKH_MAX_CROSSINGS", "2")
+    assert main(["homology", *cap_inputs(tmp_path)["homology"]]) == 1
+    assert "3 crossings exceeds the cap of 2" in capsys.readouterr().err
+
+
+def test_verify_max_crossings_overrides_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("ODDKH_MAX_CROSSINGS", "abc")
+    assert main(["verify", "hecke", "--max-crossings", "3"]) == 0
+    assert re.search(r"# hecke: (\d+)/\1 passed", capsys.readouterr().out)
 
 
 def test_movie_json_reports_the_quantum_shift(tmp_path, capsys):

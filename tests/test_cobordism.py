@@ -1,5 +1,7 @@
 """Cobordism chain maps: elementary builders, retractions, movies."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +19,11 @@ from oddkh.complexes import (
     replay_homotopy,
     zero_chain_map,
 )
-from oddkh.cube import build_cube
+from oddkh.cube import build_cube, extend_sign_assignment
 from oddkh.fixtures import hopf_link, left_trefoil, rational_knot, torus_knot_8_19, unknot, unlink
 from oddkh.linalg import IntMatrix, integer_rank
-from oddkh.linkdiag import LinkDiagram, add_free_circle, attach_band, resolve
-from oddkh.verify import crossing_relations, overpass_relations
+from oddkh.linkdiag import LinkDiagram, add_free_circle, attach_band, resolve, smooth_crossings
+from oddkh.verify import crossing_relations, named_diagrams, overpass_relations
 from oddkh.cobordism import (
     MovieError,
     bigon_retraction,
@@ -189,6 +191,62 @@ def test_split_saddle_matches_s_pattern_up_to_base_parity(host, arc):
 def test_saddle_rejects_nonplanar_band():
     with pytest.raises(ValueError):
         saddle_cobordism_map(cx_of(left_trefoil()), 1, 2)
+
+
+def pinned_band_signs(cx, a, b):
+    """The band signs of the pinned extension, or None where it refuses.
+
+    Every edge of both slices of the band cube is pinned to the
+    canonical signs of its complex, the extension fills in the band
+    edges, and all of them are flipped if the one at the all-zero
+    resolution came out negative.
+    """
+    banded, site = attach_band(cx.cube.diagram, a, b)
+    theory = cx.cube.theory
+    try:
+        dst = cx_of(smooth_crossings(banded, {site: 1}), theory)
+        aux = build_cube(banded, theory)
+        pins = {e: v for e, v in cx.signs.items()}
+        pins.update({(alpha | 1 << site, c): v for (alpha, c), v in dst.signs.items()})
+        eps = extend_sign_assignment(aux, pins)
+    except (AssertionError, ValueError):
+        return None
+    return aux, site, {alpha: eps[0, site] * eps[alpha, site] for alpha in cx.cube.vertices()}
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_saddle_band_signs_match_the_pinned_extension(theory):
+    for name, d in named_diagrams(4):
+        cx = cx_of(d, theory)
+        for a, b in itertools.product(sorted(d.arcs), repeat=2):
+            ref = pinned_band_signs(cx, a, b)
+            if ref is None:
+                with pytest.raises(ValueError):
+                    saddle_cobordism_map(cx, a, b)
+                continue
+            f = saddle_cobordism_map(cx, a, b)
+            aux, site, band = ref
+            for alpha, sign in band.items():
+                h = alpha.bit_count() - cx.n_minus
+                mask, ((coeff, out), *_) = next(iter(aux.edge_map(alpha, site).columns.items()))
+                entry = f.block(h)[f.dst.index(h, (alpha, out)), cx.index(h, (alpha, mask))]
+                parity = -1 if alpha.bit_count() & 1 else 1
+                assert entry == sign * parity * coeff, (name, a, b, alpha)
+
+
+def test_saddle_refuses_a_flipped_band_face(monkeypatch):
+    cx = cx_of(left_trefoil())
+    original = cobordism._face_sigmas
+
+    def flipped(cube, faces):
+        sigma = original(cube, faces)
+        face = min(sigma)
+        sigma[face] = -sigma[face]
+        return sigma
+
+    monkeypatch.setattr(cobordism, "_face_sigmas", flipped)
+    with pytest.raises(ValueError, match="band signs from 1 to 1 fail on face"):
+        saddle_cobordism_map(cx, 1, 1)
 
 
 @pytest.mark.parametrize(

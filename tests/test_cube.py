@@ -112,7 +112,7 @@ def per_face_sigmas(cube):
 def test_keyed_face_sigmas_match_classify_face_on_corpus(theory):
     for name, diagram in named_diagrams(8):
         cube = build_cube(diagram, theory)
-        assert cube_module._face_sigmas(cube) == per_face_sigmas(cube), name
+        assert cube_module._face_sigmas(cube, cube.face_keys()) == per_face_sigmas(cube), name
 
 
 def test_classify_face_runs_once_per_key_and_per_vanishing_face(monkeypatch):
@@ -321,7 +321,7 @@ _small_diagrams = st.one_of(
 @given(_small_diagrams, st.sampled_from(["x", "y"]))
 def test_keyed_face_sigmas_match_classify_face_on_random_diagrams(diagram, theory):
     cube = build_cube(diagram, theory)
-    assert cube_module._face_sigmas(cube) == per_face_sigmas(cube)
+    assert cube_module._face_sigmas(cube, cube.face_keys()) == per_face_sigmas(cube)
 
 
 @settings(max_examples=25, deadline=None)
