@@ -185,6 +185,8 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     try:
         cap = _crossing_cap() if args.max_crossings is None else args.max_crossings
+        if cap < 0:
+            raise ValueError(f"--max-crossings must be a nonnegative integer, not {cap}")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

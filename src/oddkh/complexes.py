@@ -19,6 +19,15 @@ S's: ``homology`` doubles it, or shifts it for reduced homology, and
 ``reduce_coefficients`` reads mod-p dimensions off it by the universal
 coefficient theorem.  Presentations, induced maps and cobordism maps
 use the full complex.
+
+Assembly builds no differential.  One placer (``_place``) writes d_h
+from the cube's edge tables through a layout that gives each generator
+a block and a position, and the reader decides which layout is placed:
+``differential(h)`` places the whole d_h in one block, once, and keeps
+it; the homology table places only S's quantum blocks and hands them to
+the elimination, so homology and ``reduce_coefficients`` never build a
+full differential.  Every placement is read back by one entry gate
+(``_check_entries``).
 """
 
 from __future__ import annotations
@@ -55,21 +64,25 @@ class ChainComplex:
 
     Basis elements are (vertex, monomial mask) pairs carrying a quantum
     degree; the differential raises homological degree by one and
-    preserves quantum degree.
+    preserves quantum degree.  Differentials given to the constructor
+    are kept as given; an assembled complex places each d_h on the first
+    ``differential(h)`` call and keeps it (see ``assemble_complex``).
     """
 
     __slots__ = (
-        "cube", "signs", "n_minus", "_basis", "_qdeg", "_index", "_diff", "_layout", "_pres", "_blocks",
+        "cube", "signs", "n_minus", "_basis", "_qdeg", "_index", "_given", "_diff", "_layout", "_pres",
+        "_blocks",
     )
 
-    def __init__(self, cube: Cube, signs: dict, basis: dict, qdeg: dict, diff: dict):
+    def __init__(self, cube: Cube, signs: dict, basis: dict, qdeg: dict, diff: dict | None = None):
         self.cube = cube
         self.signs = signs
         self.n_minus = cube.diagram.n_minus
         self._basis = basis
         self._qdeg = qdeg
-        self._index = {h: {g: i for i, g in enumerate(v)} for h, v in basis.items()}
-        self._diff = diff
+        self._index = None
+        self._given = diff is not None
+        self._diff = dict(diff or {})
         self._layout = None
         self._pres: dict[tuple[int, int], HomologyPresentation] = {}
         self._blocks: dict[int, dict[int, IntMatrix]] = {}
@@ -87,12 +100,16 @@ class ChainComplex:
         return self._qdeg.get(h, ())
 
     def index(self, h: int, gen) -> int:
+        if self._index is None:
+            self._index = {k: {g: i for i, g in enumerate(v)} for k, v in self._basis.items()}
         return self._index[h][gen]
 
     def differential(self, h: int) -> IntMatrix:
         d = self._diff.get(h)
         if d is None:
-            return IntMatrix.zero(self.dim(h + 1), self.dim(h))
+            if self._given or h not in self._basis or h + 1 not in self._basis:
+                return IntMatrix.zero(self.dim(h + 1), self.dim(h))
+            d = self._diff[h] = _place(self, h, _one_block(self.dim(h)), _one_block(self.dim(h + 1)))[0]
         return d
 
     def gradings(self) -> list[tuple[int, int]]:
@@ -108,15 +125,22 @@ class ChainComplex:
 def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     """Flatten a cube along a coherent edge-sign choice.
 
-    With no signs given the canonical assignment is used.  Each degree's
-    differential is built vertex by vertex and edge by edge from the
-    cube's shared edge tables, placing entries through each vertex's
-    offset into its chain group, and finished before the next degree
-    starts.  The result is validated (see ``_validate``): d squared
-    vanishes face by face, every shape table is its saddle map, entries
-    preserve quantum degree and each sits where its edge puts it, so any
-    face-classification, table, sign or placement error surfaces here
-    rather than in a homology answer.
+    With no signs given the canonical assignment is used.  Assembly lays
+    out the chain groups vertex by vertex and runs the cube-level gates
+    of ``_validate`` (d squared vanishes face by face, every shape table
+    is its saddle map), but builds no differential.  The reader decides
+    what ``_place`` writes from the edge tables, and ``_check_entries``
+    reads back every placement:
+
+    - ``differential(h)`` places the full d_h once and keeps it; chain
+      maps, presentations, homotopies and ``is_chain_map`` read these;
+    - ``homology`` and ``reduce_coefficients`` place only the marked
+      half's quantum blocks and build no full differential.
+
+    So any face-classification, table, sign or placement error surfaces
+    before a matrix is read, not in a homology answer.  A reader that
+    touches every ``differential(h)``, as perfbench's traced assembly
+    probe does, builds all the full matrices.
     """
     if signs is None:
         signs = solve_sign_assignment(cube)
@@ -124,65 +148,101 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     shift_q = cube.diagram.n_plus - 2 * nm
     basis: dict[int, list] = {}
     qdeg: dict[int, list] = {}
-    verts: dict[int, list] = {}
-    offset: dict[int, int] = {}
     for alpha in cube.vertices():
         h = alpha.bit_count() - nm
         circles = cube.resolution(alpha).n_circles
         sub = cube.space(alpha).basis()
-        gens = basis.setdefault(h, [])
-        offset[alpha] = len(gens)
-        verts.setdefault(h, []).append(alpha)
-        gens.extend((alpha, m) for m in sub)
+        basis.setdefault(h, []).extend((alpha, m) for m in sub)
         qdeg.setdefault(h, []).extend(
             circles - 2 * m.bit_count() + alpha.bit_count() + shift_q for m in sub
         )
     basis = {h: tuple(v) for h, v in basis.items()}
     qdeg = {h: tuple(v) for h, v in qdeg.items()}
-    diff = {}
-    for h, gens in basis.items():
-        if h + 1 not in basis:
-            continue
-        entries = {}
-        for alpha in verts[h]:
-            # Entries go in generator order, crossing by crossing: the
-            # unit elimination breaks pivot ties by entry order, so this
-            # order keeps its pivots and the generators it reports.
-            out = []
-            for c in range(cube.n):
-                if alpha >> c & 1:
-                    continue
-                beta = alpha | 1 << c
-                index = cube.space(beta).basis_index()
-                out.append((signs[alpha, c], offset[beta], index, cube.edge_table(alpha, c)))
-            for j, mask in enumerate(cube.space(alpha).basis(), offset[alpha]):
-                for e, base, index, table in out:
-                    for coeff, m in table[mask]:
-                        entries[base + index[m], j] = e * coeff
-        diff[h] = IntMatrix(len(basis[h + 1]), len(gens), entries)
-    cx = ChainComplex(cube, dict(signs), basis, qdeg, diff)
+    cx = ChainComplex(cube, dict(signs), basis, qdeg)
     _validate(cx)
     return cx
+
+
+def _one_block(n: int) -> tuple:
+    """The layout (see ``_layout``) that keeps n generators in one block, in order."""
+    each = list(range(n))
+    return {0: each}, each, (0,) * n
+
+
+def _offsets(c: ChainComplex, h: int) -> dict:
+    """Where each vertex's generators start in degree h, in basis order."""
+    gens, out, k = c.basis(h), {}, 0
+    while k < len(gens):
+        alpha = gens[k][0]
+        out[alpha] = k
+        k += c.cube.space(alpha).dim
+    return out
+
+
+def _place(c: ChainComplex, h: int, src: tuple, dst: tuple) -> dict:
+    """d_h written through the layouts of degrees h and h + 1.
+
+    A layout (see ``_layout``) gives each generator a block and a
+    position in it, or none.  Returns one matrix per source block, in
+    block coordinates.  An assembled complex is placed vertex by vertex
+    and edge by edge from the cube's shared edge tables; sources outside
+    the layout and entries whose row falls outside the source's block
+    are skipped, and ``_check_entries`` then counts what was placed.
+    Differentials given by hand are cut (``_cut``) and not checked.
+    """
+    if c._given:
+        return _cut(c.differential(h), src, dst)
+    cube, signs = c.cube, c.signs
+    (cols, src_pos, keys), (rows, dst_pos, _) = src, dst
+    by_key: dict = {k: ({}, len(rows.get(k, ()))) for k in cols}
+    offset = _offsets(c, h + 1)
+    # Each target vertex's block row of every mask, built once.
+    at: dict[int, list] = {}
+    for alpha, start in _offsets(c, h).items():
+        # Entries go in generator order, crossing by crossing: the
+        # unit elimination breaks pivot ties by entry order, so this
+        # order keeps its pivots and the generators it reports.
+        out = []
+        for k in range(cube.n):
+            if alpha >> k & 1:
+                continue
+            beta = alpha | 1 << k
+            place = at.get(beta)
+            if place is None:
+                base, index = offset[beta], cube.space(beta).basis_index()
+                place = at[beta] = [dst_pos[base + index[m]] for m in range(len(index))]
+            out.append((signs[alpha, k], place, cube.edge_table(alpha, k)))
+        for j, mask in enumerate(cube.space(alpha).basis(), start):
+            p = src_pos[j]
+            if p < 0:
+                continue
+            entries, size = by_key[keys[j]]
+            for e, place, table in out:
+                for coeff, m in table[mask]:
+                    r = place[m]
+                    if 0 <= r < size:
+                        entries[r, p] = e * coeff
+    blocks = {k: IntMatrix(size, len(cols[k]), e) for k, (e, size) in by_key.items()}
+    _check_entries(c, h, blocks, src, dst)
+    return blocks
 
 
 def _validate(c: ChainComplex) -> None:
     """Raise AssertionError unless the complex is the signed cube, with d^2 = 0.
 
-    Four checks, none of which multiplies differentials:
+    Two cube-level gates, neither of which multiplies differentials:
 
     - d^2 vanishes on every face (``cube._first_failing_face``): the
       two path composites agree up to the face's sign on every monomial,
       once per face key and cube, and the signs have the right parity on
       each face, one product per face;
     - every shape table equals the merge or split map built from its
-      circles (``cube._first_wrong_table``), once per shape and cube;
-    - every entry preserves quantum degree;
-    - every entry lies on a cube edge and equals that edge's sign times
-      its table coefficient, and each degree has as many entries as the
-      tables of its edges have terms, so none was dropped or overwritten.
+      circles (``cube._first_wrong_table``), once per shape and cube.
 
-    Together the first and last give d^2 = 0 for the matrices
-    themselves.
+    Then every differential the complex holds passes the entry gate
+    (``_check_entries``), which also reads each later placement.
+    Together the first gate and the entry gate give d^2 = 0 for the
+    matrices themselves.
     """
     cube = c.cube
     face = _first_failing_face(cube, c.signs)
@@ -191,33 +251,63 @@ def _validate(c: ChainComplex) -> None:
     edge = _first_wrong_table(cube)
     if edge is not None:
         raise AssertionError(f"edge table differs from its saddle map at edge {edge}")
-    terms: dict[int, int] = {}
     for h, d in c._diff.items():
-        src, dst = c.basis(h), c.basis(h + 1)
-        qs, qt = c.quantum_degrees(h), c.quantum_degrees(h + 1)
-        # For each vertex of degree h, its edges by target vertex.
-        edges: dict[int, dict] = {}
-        expected = 0
-        for alpha in dict.fromkeys(a for a, _ in src):
-            out = edges[alpha] = {}
-            for k in range(cube.n):
-                if alpha >> k & 1:
-                    continue
-                i = cube.edge_shape(alpha, k)
-                n = terms.get(i)
-                if n is None:
-                    n = terms[i] = sum(map(len, cube.edge_table(alpha, k)))
-                expected += n
-                out[alpha | 1 << k] = (c.signs[alpha, k], cube.edge_table(alpha, k))
+        src, dst = _one_block(d.cols), _one_block(d.rows)
+        _check_entries(c, h, {0: d}, src, dst)
+
+
+def _check_entries(c: ChainComplex, h: int, blocks: dict, src: tuple, dst: tuple) -> None:
+    """Raise AssertionError unless d_h's placed blocks are the signed cube's.
+
+    ``blocks`` holds one matrix per source block of the layouts ``src``
+    and ``dst`` (see ``_place``).  Each entry is read back to its
+    generators through the layouts, and must lie on a cube edge, equal
+    that edge's sign times its table coefficient and preserve quantum
+    degree; and the blocks must hold as many entries as the tables have
+    terms on the generators of ``src``, so none was dropped, overwritten
+    or placed outside the layouts.
+    """
+    cube = c.cube
+    (cols, src_pos, _), (rows, _, _) = src, dst
+    gens, targets = c.basis(h), c.basis(h + 1)
+    qs, qt = c.quantum_degrees(h), c.quantum_degrees(h + 1)
+    # For each vertex of degree h, its edges by target vertex, and the
+    # terms its placed generators have along them.
+    edges: dict[int, dict] = {}
+    lengths: dict[int, tuple] = {}
+    expected = 0
+    for alpha, start in _offsets(c, h).items():
+        basis = cube.space(alpha).basis()
+        flags = src_pos[start:start + len(basis)]
+        whole = min(flags) >= 0
+        placed = basis if whole else [m for m, p in zip(basis, flags) if p >= 0]
+        out = edges[alpha] = {}
+        for k in range(cube.n):
+            if alpha >> k & 1:
+                continue
+            table = cube.edge_table(alpha, k)
+            i = cube.edge_shape(alpha, k)
+            n = lengths.get(i)
+            if n is None:
+                each = [len(col) for col in table]
+                n = lengths[i] = (each, sum(each))
+            expected += n[1] if whole else sum(map(n[0].__getitem__, placed))
+            out[alpha | 1 << k] = (c.signs[alpha, k], table)
+    found = 0
+    for key, block in blocks.items():
+        members, below = cols[key], rows.get(key, ())
+        found += len(block.data)
         last = -1
-        for (i, j), v in d.data.items():
-            if j != last:
-                last = j
-                alpha, mask = src[j]
+        for (r, p), v in block.data.items():
+            if p != last:
+                last = p
+                j = members[p]
+                alpha, mask = gens[j]
                 out = edges[alpha]
+            i = below[r]
             if qt[i] != qs[j]:
                 raise AssertionError("differential entry changes quantum degree")
-            beta, m = dst[i]
+            beta, m = targets[i]
             edge = out.get(beta)
             if edge is None:
                 raise AssertionError(f"differential entry off the cube edges in degree {h}")
@@ -229,8 +319,8 @@ def _validate(c: ChainComplex) -> None:
                 coeff = 0
             if v != e * coeff:
                 raise AssertionError(f"differential entry differs from its edge map in degree {h}")
-        if len(d.data) != expected:
-            raise AssertionError(f"degree {h} has {len(d.data)} entries, its edges {expected} terms")
+    if found != expected:
+        raise AssertionError(f"degree {h} has {found} entries, its edges {expected} terms")
 
 
 def verify_differential_squares(cube: Cube, eps: dict) -> bool:
@@ -312,30 +402,38 @@ def _cut(m: IntMatrix, src: tuple, dst: tuple, shift: int = 0) -> dict:
     return {q: IntMatrix(len(rows.get(q + shift, ())), len(cols[q]), e) for q, e in by_q.items()}
 
 
-def _marked_half(c: ChainComplex, bits: dict | None = None) -> tuple[dict, dict]:
-    """Elementary divisors and block sizes of the marked subcomplex S.
+def _marked_layout(c: ChainComplex, bits: dict | None = None) -> dict:
+    """The quantum blocks (see ``_layout``) of the marked subcomplex S.
 
     S is spanned by the generators (alpha, mask) whose mask holds the
     marked circle: bit ``bits[alpha]`` of the mask, or bit 0 for a vertex
     not in ``bits``.  Bit 0 is always the circle through the diagram's
     smallest arc, because circle keys are each circle's smallest arc and
-    exterior spaces sort their keys.  Returns the divisor table of S's
-    (h, q) blocks and the size of each block, in the full complex's
-    quantum grading.
-
-    A diagram with no arcs has no circle to mark; a complex on it has
-    differentials only when built by hand, and is kept whole.
+    exterior spaces sort their keys.  A diagram with no arcs has no
+    circle to mark; a complex on it has differentials only when built by
+    hand, and is kept whole.
     """
-    marked = None
-    if c.cube.diagram.arcs:
-        bits = bits or {}
-        marked = {h: [m >> bits.get(alpha, 0) & 1 for alpha, m in c.basis(h)] for h in c.degrees()}
-    lay = _layout(c, marked)
+    if not c.cube.diagram.arcs:
+        return _layout(c)
+    bits = bits or {}
+    return _layout(c, {h: [m >> bits.get(alpha, 0) & 1 for alpha, m in c.basis(h)] for h in c.degrees()})
+
+
+def _marked_half(c: ChainComplex, bits: dict | None = None) -> tuple[dict, dict]:
+    """Elementary divisors and block sizes of the marked subcomplex S.
+
+    S's (h, q) blocks (see ``_marked_layout``) are placed straight from
+    the cube (``_place``), one degree at a time, so no full differential
+    is built.  Returns the divisor table of S's (h, q) blocks and the
+    size of each block, in the full complex's quantum grading.
+    """
+    lay = _marked_layout(c, bits)
     divisors = {}
-    for h, d in c._diff.items():
-        for q, block in _cut(d, lay[h], lay.get(h + 1)).items():
-            if block.data:
-                divisors[h, q] = elementary_divisors(block)
+    for h in c.degrees():
+        if h + 1 in lay:
+            for q, block in _place(c, h, lay[h], lay[h + 1]).items():
+                if block.data:
+                    divisors[h, q] = elementary_divisors(block)
     sizes = {(h, q): len(gens) for h, block in lay.items() for q, gens in block[0].items()}
     return divisors, sizes
 

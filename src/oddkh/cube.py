@@ -189,21 +189,38 @@ class Cube:
 
         The shape is the edge's kind, the target position of each source
         generator in order, and for a split the positions of both
-        offspring.  Its table is built the first time it is seen.
+        offspring.  Circles are sorted by their smallest arc, which is
+        their key, so a circle's index in its resolution is its
+        generator's position in the space: the shape is read off the
+        two resolutions with the checks of ``edge``, and ``edge`` runs
+        only to build the table of a shape not seen before.
         """
         i = self._edge_ids[alpha * self.n + c]
         if i < 0:
-            e = self.edge(alpha, c)
-            src = self.space(alpha)
-            dst = self.space(alpha | 1 << c)
-            pos = dst.pos
-            shape = (e.kind, tuple(pos[e.key_map[k]] for k in src.keys))
-            if e.kind == "split":
-                shape += (pos[e.child0], pos[e.child1])
+            ra = self.resolution(alpha)
+            rb = self.resolution(alpha | 1 << c)
+            support = {ra.slot_circle[c, s] for s in range(4)}
+            delta = rb.n_circles - ra.n_circles
+            target = tuple(rb.arc_circle[key] for key in ra.keys)
+            if delta == -1:
+                if len(support) != 2:
+                    raise AssertionError("merge edge must touch two circles")
+                shape = ("merge", target)
+            elif delta == 1:
+                if len(support) != 1:
+                    raise AssertionError("split edge must touch one circle")
+                parent = next(iter(support))
+                child0, child1 = rb.slot_circle[c, 0], rb.slot_circle[c, 1]
+                if child0 == child1:
+                    raise AssertionError("split children must differ")
+                shape = ("split", target[:parent] + (child0,) + target[parent + 1:], child0, child1)
+            else:
+                raise AssertionError("a saddle changes the circle count by one")
             i = self._shapes.get(shape)
             if i is None:
                 i = self._shapes[shape] = len(self._tables)
-                self._tables.append(_edge_columns(src, dst, e))
+                beta = alpha | 1 << c
+                self._tables.append(_edge_columns(self.space(alpha), self.space(beta), self.edge(alpha, c)))
                 self._sites.append((alpha, c))
             self._edge_ids[alpha * self.n + c] = i
         return i

@@ -308,6 +308,14 @@ def test_verify_max_crossings_overrides_the_environment(capsys, monkeypatch):
     assert re.search(r"# hecke: (\d+)/\1 passed", capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("suite", ["oracles", "invariance"])
+def test_verify_refuses_a_negative_max_crossings(capsys, suite):
+    # A negative cap would filter out every fixture and pass vacuously.
+    assert main(["verify", suite, "--max-crossings", "-1"]) == 1
+    out = capsys.readouterr()
+    assert "--max-crossings must be a nonnegative integer, not -1" in out.err and not out.out
+
+
 def test_movie_json_reports_the_quantum_shift(tmp_path, capsys):
     # Poke two circles through each other, then merge them by a saddle.
     script = script_to_dict(unlink(2), [r2_event(1, 2), saddle_event(1, 4)])

@@ -181,15 +181,17 @@ def test_square_check_matches_streaming_reference(theory):
             assert got is vanishing, (name, edge)
 
 
-def mutant_complex(cube, mutation):
+def mutant_differentials(cube, mutation, eligible=lambda mask: True):
     """The differentials of ``assemble_complex`` with one deliberate mistake.
 
     ``offset``: the entries of the first edge into each target vertex
     start at the next vertex's offset.  ``mask``: one edge's entries land
     one monomial further on in the target vertex.  ``sign``: every edge
     takes the sign of the next edge out of its vertex.  ``drop``: one
-    entry is left out.  Rows are wrapped into range so that the matrices
-    can be built; nothing is validated.
+    entry is left out.  ``mask`` and ``drop`` hit the first generator
+    whose monomial is ``eligible``.  Rows are wrapped into range so that
+    the matrices can be built; nothing is validated.  Returns the
+    complex assembled from the cube and the mutated differentials.
     """
     signs = solve_sign_assignment(cube)
     cx = assemble_complex(cube, signs)
@@ -213,16 +215,21 @@ def mutant_complex(cube, mutation):
                     i = base + index[m]
                     if mutation == "offset" and k == 0:
                         i = (base + dim + index[m]) % rows
-                    elif mutation == "mask" and not hit and k == 0:
+                    elif mutation == "mask" and not hit and k == 0 and eligible(mask):
                         i = base + (index[m] + 1) % dim
-                    elif mutation == "drop" and not hit:
+                    elif mutation == "drop" and not hit and eligible(mask):
                         hit = True
                         continue
                     entries[i, j] = sign * coeff
-                if mutation == "mask" and k == 0 and cube.edge_table(alpha, c)[mask]:
+                if mutation == "mask" and k == 0 and eligible(mask) and cube.edge_table(alpha, c)[mask]:
                     hit = True
         diff[h] = IntMatrix(rows, len(src), entries)
-    return ChainComplex(cube, signs, dict(cx._basis), dict(cx._qdeg), diff)
+    return cx, diff
+
+
+def mutant_complex(cube, mutation):
+    cx, diff = mutant_differentials(cube, mutation)
+    return ChainComplex(cube, cx.signs, dict(cx._basis), dict(cx._qdeg), diff)
 
 
 @pytest.mark.parametrize("mutation", ["offset", "mask", "sign", "drop"])
@@ -233,6 +240,97 @@ def test_validate_refuses_a_mutated_assembly(mutation, code):
     assert any(mutant.differential(h) != assemble_complex(cube).differential(h) for h in mutant.degrees())
     with pytest.raises(AssertionError):
         complexes_module._validate(mutant)
+
+
+def marked_cut(cx, h, d, lay):
+    """The entries of a full d_h on the marked half, in block coordinates.
+
+    An entry whose source is marked but whose target is unmarked or of
+    another quantum degree is dropped, as the placer drops targets
+    outside its layout; the entry gate must then find one entry short.
+    """
+    (cols, src_pos, qs), (rows, dst_pos, qt) = lay[h], lay[h + 1]
+    blocks = {q: {} for q in cols}
+    for (i, j), v in d.data.items():
+        if src_pos[j] >= 0 and dst_pos[i] >= 0 and qt[i] == qs[j]:
+            blocks[qs[j]][dst_pos[i], src_pos[j]] = v
+    return {q: IntMatrix(len(rows.get(q, ())), len(cols[q]), e) for q, e in blocks.items()}
+
+
+@pytest.mark.parametrize("mutation", ["offset", "mask", "sign", "drop"])
+@pytest.mark.parametrize("code", [TREFOIL, FIG8, POKE], ids=["trefoil", "fig8", "poke"])
+def test_entry_gate_refuses_mutated_marked_blocks(mutation, code):
+    cube = build_cube(parse_pd(code))
+    cx, diff = mutant_differentials(cube, mutation, eligible=lambda mask: mask & 1)
+    lay = complexes_module._marked_layout(cx)
+    changed = 0
+    for h, d in diff.items():
+        blocks = marked_cut(cx, h, d, lay)
+        if blocks == complexes_module._place(cx, h, lay[h], lay[h + 1]):
+            complexes_module._check_entries(cx, h, blocks, lay[h], lay[h + 1])
+            continue
+        changed += 1
+        with pytest.raises(AssertionError):
+            complexes_module._check_entries(cx, h, blocks, lay[h], lay[h + 1])
+    assert changed
+
+
+def reference_marked_blocks(c, diff, h):
+    """S's (h, q) blocks of a full differential, cut by a scan of the generators."""
+
+    def marked(k, q):
+        return [i for i, ((_, m), qq) in enumerate(zip(c.basis(k), c.quantum_degrees(k))) if m & 1 and qq == q]
+
+    full = diff.get(h, IntMatrix.zero(c.dim(h + 1), c.dim(h)))
+    return {q: full.submatrix(marked(h + 1, q), marked(h, q)) for q in set(c.quantum_degrees(h))}
+
+
+def assert_marked_blocks_match_reference(cube):
+    cx = assemble_complex(cube)
+    _, _, diff = reference_assembly(cube, cx.signs)
+    lay = complexes_module._marked_layout(cx)
+    for h in cx.degrees():
+        if h + 1 in lay:
+            placed = complexes_module._place(cx, h, lay[h], lay[h + 1])
+            expected = reference_marked_blocks(cx, diff, h)
+            assert placed == {q: b for q, b in expected.items() if b.cols}, h
+    # Placing the marked half builds no full differential.
+    assert not cx._diff
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_marked_blocks_match_the_cut_differential_on_corpus(theory):
+    links = 0
+    for _, diagram in named_diagrams(8):
+        if diagram.arcs:
+            links += len(diagram.components) > 1
+            assert_marked_blocks_match_reference(build_cube(diagram, theory))
+    assert links
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.sampled_from([1, -1, n - 1, 1 - n]), min_size=1, max_size=6).map(
+            lambda w: braid_closure(w, n)
+        )
+    ),
+    st.sampled_from(["x", "y"]),
+)
+def test_marked_blocks_match_the_cut_differential_on_random_diagrams(diagram, theory):
+    assert_marked_blocks_match_reference(build_cube(diagram, theory))
+
+
+@pytest.mark.parametrize("read", ["homology", "mod2"])
+def test_homology_builds_no_full_differential(read):
+    for name, diagram in named_diagrams(6):
+        cube = build_cube(diagram)
+        cx = assemble_complex(cube)
+        homology(cx) if read == "homology" else reduce_coefficients(cx, 2)
+        assert not cx._diff, name
+        _, _, diff = reference_assembly(cube, cx.signs)
+        for h in cx.degrees():
+            assert cx.differential(h) == diff.get(h, IntMatrix.zero(cx.dim(h + 1), cx.dim(h))), (name, h)
 
 
 def test_streaming_square_check():

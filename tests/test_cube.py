@@ -104,6 +104,28 @@ def test_shape_tables_match_edge_maps_on_braid_closures(word, theory):
     assert_tables_match_edge_maps(build_cube(braid_closure(word, 3), theory))
 
 
+def shape_by_keys(cube, alpha, c):
+    """One edge's shape read off its circle correspondence, key by key."""
+    e = cube.edge(alpha, c)
+    pos = cube.space(alpha | 1 << c).pos
+    shape = (e.kind, tuple(pos[e.key_map[k]] for k in cube.space(alpha).keys))
+    if e.kind == "split":
+        shape += (pos[e.child0], pos[e.child1])
+    return shape
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_shapes_by_position_match_shapes_by_keys_on_corpus(theory):
+    for name, diagram in named_diagrams(8):
+        cube = build_cube(diagram, theory)
+        ids = {}
+        for e in cube.edges():
+            ids.setdefault(shape_by_keys(cube, *e), set()).add(cube.edge_shape(*e))
+        # One id per shape, and no id shared by two shapes.
+        assert all(len(v) == 1 for v in ids.values()), name
+        assert len(set().union(*ids.values())) == len(ids), name
+
+
 def per_face_sigmas(cube):
     return {f: classify_face(cube, *f).sigma for f in cube.faces()}
 
