@@ -191,22 +191,36 @@ def cmd_verify(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     checks = run_suite(args.suite, cap)
-    failed = [c for c in checks if not c.passed]
+    counts = {
+        "passed": sum(c.passed for c in checks),
+        "skipped": sum(c.skipped for c in checks),
+        "failed": sum(c.failed for c in checks),
+    }
     if args.json:
         _print_json({
             "command": "verify",
             "suite": args.suite,
             "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail, "elapsed": round(c.elapsed, 3)}
+                {
+                    "name": c.name,
+                    "passed": c.passed,
+                    "skipped": c.skipped,
+                    "detail": c.detail,
+                    "elapsed": round(c.elapsed, 3),
+                }
                 for c in checks
             ],
+            "counts": counts,
             "elapsed": round(time.perf_counter() - t0, 3),
         })
     else:
         for c in checks:
-            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-        print(f"# {args.suite}: {len(checks) - len(failed)}/{len(checks)} passed, {time.perf_counter() - t0:.1f}s")
-    return 2 if failed else 0
+            print(f"{'PASS' if c.passed else 'SKIP' if c.skipped else 'FAIL'} {c.name}: {c.detail}")
+        print(
+            f"# {args.suite}: {counts['passed']}/{len(checks)} passed, {counts['skipped']} skipped,"
+            f" {counts['failed']} failed, {time.perf_counter() - t0:.1f}s"
+        )
+    return 2 if counts["failed"] else 0
 
 
 def main(argv=None) -> int:

@@ -132,7 +132,7 @@ def dot_cobordism_map(cx: ChainComplex, arc: int) -> ChainMap:
 
     def factor(alpha):
         res = cx.cube.resolution(alpha)
-        key = res.circle_key(res.arc_circle[arc])
+        key = res.circle_key(res.arc_circle(arc))
         sign = -1 if s_value(cx.cube, alpha) & 1 else 1
         return sign, alpha, dot_map(cx.cube.space(alpha), key)
 

@@ -511,10 +511,11 @@ def reduce_coefficients(c: ChainComplex, p: int, reduced: bool = False) -> dict:
     Read off the integer table of ``homology`` by the universal
     coefficient theorem: the mod-p group at (h, q) has the free rank
     there plus one dimension for each invariant factor divisible by p at
-    (h, q) and at (h + 1, q).
+    (h, q) and at (h + 1, q).  ``p`` must be a prime ``int``; a float or
+    bool is refused.
     """
-    if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
-        raise ValueError("p must be prime")
+    if type(p) is not int or p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+        raise ValueError(f"p must be a prime integer, got {p!r}")
     out: dict = {}
     for (h, q), (free, torsion) in _homology_table(c, reduced).items():
         lifted = sum(1 for d in torsion if d % p == 0)

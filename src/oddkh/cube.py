@@ -79,7 +79,10 @@ class CubeEdge:
 class Cube:
     """All resolutions of a diagram together with their saddle maps.
 
-    Resolutions and state spaces are derived on demand and cached.  The
+    Resolutions and state spaces are derived on demand and cached; a
+    resolution holds its circle keys and two byte tables (see
+    ``linkdiag.Resolution``), and a circle's key is one of its arcs, so
+    ``edge`` reads where each circle goes without walking one.  The
     one per-edge cache is the id of the edge's shape (see
     ``edge_shape``): the checks of ``edge`` run once for every edge when
     its shape is looked up, and edges of the same shape share one
@@ -154,34 +157,26 @@ class Cube:
             raise ValueError("crossing already resolved at this vertex")
         ra = self.resolution(alpha)
         rb = self.resolution(alpha | 1 << c)
-        support = {ra.slot_circle[c, s] for s in range(4)}
+        support = set(ra.slot_circles(c))
         delta = rb.n_circles - ra.n_circles
+        # A circle's key is one of its arcs, so it names the circle's
+        # image; only a split's parent has two.
+        image = dict(zip(ra.keys, map(rb.keys.__getitem__, rb.arc_circles(ra.keys))))
         if delta == -1:
             if len(support) != 2:
                 raise AssertionError("merge edge must touch two circles")
-            key_map = {}
-            for i in range(ra.n_circles):
-                arc = ra.circle_arcs(i)[0]
-                key_map[ra.circle_key(i)] = rb.circle_key(rb.arc_circle[arc])
-            return CubeEdge(alpha, c, "merge", key_map)
+            return CubeEdge(alpha, c, "merge", image)
         if delta == 1:
             if len(support) != 1:
                 raise AssertionError("split edge must touch one circle")
-            parent_idx = next(iter(support))
-            parent = ra.circle_key(parent_idx)
+            parent = ra.keys[next(iter(support))]
             # The child through the (0,3) strand of the new smoothing
             # comes first; swapping the children negates the map.
-            child0 = rb.circle_key(rb.slot_circle[c, 0])
-            child1 = rb.circle_key(rb.slot_circle[c, 1])
+            child0, child1 = (rb.keys[i] for i in rb.slot_circles(c)[:2])
             if child0 == child1:
                 raise AssertionError("split children must differ")
-            lift = {parent: child0}
-            for i in range(ra.n_circles):
-                if i == parent_idx:
-                    continue
-                arc = ra.circle_arcs(i)[0]
-                lift[ra.circle_key(i)] = rb.circle_key(rb.arc_circle[arc])
-            return CubeEdge(alpha, c, "split", lift, parent, child0, child1)
+            image[parent] = child0
+            return CubeEdge(alpha, c, "split", image, parent, child0, child1)
         raise AssertionError("a saddle changes the circle count by one")
 
     def edge_shape(self, alpha: int, c: int) -> int:
@@ -199,9 +194,9 @@ class Cube:
         if i < 0:
             ra = self.resolution(alpha)
             rb = self.resolution(alpha | 1 << c)
-            support = {ra.slot_circle[c, s] for s in range(4)}
+            support = set(ra.slot_circles(c))
             delta = rb.n_circles - ra.n_circles
-            target = tuple(rb.arc_circle[key] for key in ra.keys)
+            target = rb.arc_circles(ra.keys)
             if delta == -1:
                 if len(support) != 2:
                     raise AssertionError("merge edge must touch two circles")
@@ -210,7 +205,7 @@ class Cube:
                 if len(support) != 1:
                     raise AssertionError("split edge must touch one circle")
                 parent = next(iter(support))
-                child0, child1 = rb.slot_circle[c, 0], rb.slot_circle[c, 1]
+                child0, child1 = rb.slot_circles(c)[:2]
                 if child0 == child1:
                     raise AssertionError("split children must differ")
                 shape = ("split", target[:parent] + (child0,) + target[parent + 1:], child0, child1)
@@ -370,8 +365,8 @@ def classify_face(cube: Cube, alpha: int, c1: int, c2: int) -> FaceClass:
     if (alpha >> c1 | alpha >> c2) & 1:
         raise ValueError("face crossings must be unresolved at the base vertex")
     ra = cube.resolution(alpha)
-    s1 = {ra.slot_circle[c1, s] for s in range(4)}
-    s2 = {ra.slot_circle[c2, s] for s in range(4)}
+    s1 = set(ra.slot_circles(c1))
+    s2 = set(ra.slot_circles(c2))
     p1 = _composite(*_path_tables(cube, alpha, c1, c2), 0)
     p2 = _composite(*_path_tables(cube, alpha, c2, c1), 0)
     if p1 or p2:

@@ -9,6 +9,12 @@ Orientations are not part of the input; they are reconstructed from the
 understrand constraints, and crossing signs fall out of that.  Diagrams
 may carry extra "formal" crossings (band sites produced by surgery)
 which have no over/under data and are skipped by the orientation pass.
+
+A smoothing is walked over flat slot tables that each diagram builds
+once, slot s of crossing c at index 4c + s.  A cube keeps one
+``Resolution`` per vertex, so a resolution stores only its circle keys
+and two byte tables, the circle of every slot and of every arc, and
+walks a circle's arcs and transits again when they are asked for.
 """
 
 from __future__ import annotations
@@ -64,6 +70,10 @@ class LinkDiagram:
         "n_plus",
         "n_minus",
         "writhe",
+        "_arc_pos",
+        "_slot_arc",
+        "_slot_end",
+        "_arc_start",
     )
 
     def __init__(self, crossings, free_arcs=(), signs=None, formal=()):
@@ -121,6 +131,33 @@ class LinkDiagram:
         self.n_plus = sum(1 for s in self.signs if s == 1)
         self.n_minus = sum(1 for s in self.signs if s == -1)
         self.writhe = self.n_plus - self.n_minus
+        self._slot_tables()
+
+    def _slot_tables(self):
+        """Flat tables for walking smoothings; slot s of crossing c is 4c + s.
+
+        ``_arc_pos`` maps an arc to its position in ``arcs``;
+        ``_slot_arc`` gives the position of the arc at each slot and
+        ``_slot_end`` the slot at that arc's other end; ``_arc_start``
+        gives, for each arc in ``arcs`` order, the slot its walk leaves
+        from: its tail when it has a flow direction, else its first
+        occurrence, and -1 for a free circle.
+        """
+        self._arc_pos = {a: i for i, a in enumerate(self.arcs)}
+        slot_arc = [0] * (4 * self.n)
+        slot_end = [0] * (4 * self.n)
+        starts = [-1] * len(self.arcs)
+        for arc, occ in self.occurrences.items():
+            i = self._arc_pos[arc]
+            a, b = (4 * c + s for c, s in occ)
+            slot_arc[a] = slot_arc[b] = i
+            slot_end[a], slot_end[b] = b, a
+            d = self.arc_dir[arc]
+            c, s = d[0] if d is not None else occ[0]
+            starts[i] = 4 * c + s
+        self._slot_arc = tuple(slot_arc)
+        self._slot_end = tuple(slot_end)
+        self._arc_start = tuple(starts)
 
     def max_arc(self) -> int:
         return max(self.arcs) if self.arcs else 0
@@ -331,37 +368,53 @@ def writhe(diagram: LinkDiagram) -> int:
 class Resolution:
     """One complete smoothing of a diagram.
 
-    Circles are walked starting from their smallest arc, in the arc's
-    flow direction when it has one, so the walk order is deterministic.
-    Each circle records its arcs in walk order and the transits it makes
-    through crossings as (crossing, entry_slot, exit_slot) triples.
+    Circle i is keyed by its smallest arc, ``keys[i]``, and ``keys`` is
+    sorted.  The rest is two byte tables: the circle through each
+    crossing slot (``slot_circles``) and the circle through each arc
+    (``arc_circle``).  A circle's arcs and its transits through
+    crossings, as (crossing, entry_slot, exit_slot) triples, are walked
+    afresh on each call, starting from its smallest arc in that arc's
+    flow direction when it has one, so the walk order is deterministic
+    and the first arc is the key.
     """
 
-    __slots__ = ("diagram", "alpha", "circles", "keys", "arc_circle", "slot_circle")
+    __slots__ = ("diagram", "alpha", "keys", "_slots", "_arcs")
 
-    def __init__(self, diagram, alpha, circles):
+    def __init__(self, diagram, alpha, keys, slots, arcs):
         self.diagram = diagram
         self.alpha = alpha
-        self.circles = circles
-        self.keys = tuple(min(arcs) for arcs, _ in circles)
-        self.arc_circle = {}
-        self.slot_circle = {}
-        for idx, (arcs, transits) in enumerate(circles):
-            for a in arcs:
-                self.arc_circle[a] = idx
-            for c, s_in, s_out in transits:
-                self.slot_circle[(c, s_in)] = idx
-                self.slot_circle[(c, s_out)] = idx
+        self.keys = keys
+        self._slots = slots
+        self._arcs = arcs
 
     @property
     def n_circles(self) -> int:
-        return len(self.circles)
+        return len(self.keys)
+
+    def slot_circles(self, c: int) -> bytes:
+        """The circles through slots 0, 1, 2 and 3 of crossing ``c``."""
+        return self._slots[4 * c : 4 * c + 4]
+
+    def arc_circle(self, arc: int) -> int:
+        return self._arcs[self.diagram._arc_pos[arc]]
+
+    def arc_circles(self, arcs) -> tuple:
+        """The circle through each of ``arcs``, in order."""
+        return tuple(map(self._arcs.__getitem__, map(self.diagram._arc_pos.__getitem__, arcs)))
+
+    def _steps(self, idx: int):
+        d = self.diagram
+        start = d._arc_start[d._arc_pos[self.keys[idx]]]
+        if start < 0:
+            return ()  # a free circle passes through no crossing
+        return _walk(d, self.alpha, start)
 
     def circle_arcs(self, idx: int) -> tuple:
-        return self.circles[idx][0]
+        d = self.diagram
+        return tuple(d.arcs[d._slot_arc[tail]] for tail, _, _ in self._steps(idx)) or (self.keys[idx],)
 
     def circle_transits(self, idx: int) -> tuple:
-        return self.circles[idx][1]
+        return tuple((head >> 2, head & 3, out & 3) for _, head, out in self._steps(idx))
 
     def circle_key(self, idx: int) -> int:
         return self.keys[idx]
@@ -370,51 +423,69 @@ class Resolution:
         return f"Resolution(alpha={self.alpha:b}, circles={self.n_circles})"
 
 
-def _smoothing_partner(bit: int, s: int) -> int:
-    # 0-smoothing joins (0,1) and (2,3); 1-smoothing joins (0,3) and (1,2).
-    if bit == 0:
-        return s ^ 1
-    return 3 - s
+# A smoothing pairs slot s with slot s ^ _SMOOTHING[bit]: the 0-smoothing
+# joins (0,1) and (2,3), the 1-smoothing joins (0,3) and (1,2).  As slot
+# 4c + s keeps s in its low two bits, the same flip pairs slot indices.
+_SMOOTHING = (1, 3)
+
+
+def _walk(diagram: LinkDiagram, alpha: int, start: int):
+    """One circle of the smoothing ``alpha``, walked from slot ``start``.
+
+    Yields one step per arc: the slot the arc leaves, the slot it enters
+    and the slot the smoothing leaves that crossing by.
+    """
+    end = diagram._slot_end
+    tail = start
+    while True:
+        head = end[tail]
+        out = head ^ _SMOOTHING[alpha >> (head >> 2) & 1]
+        yield tail, head, out
+        if out == start:
+            return
+        tail = out
+
+
+# Drops the one added to every circle number while ``resolve`` walks.
+_UNSHIFT = bytes([0]) + bytes(range(255))
 
 
 def resolve(diagram: LinkDiagram, alpha: int) -> Resolution:
-    """Smooth every crossing of the diagram according to the bits of alpha."""
+    """Smooth every crossing of the diagram according to the bits of alpha.
+
+    One walk fills both tables of the ``Resolution``.  Arcs at crossings
+    are sorted, so each new circle starts at its smallest arc; free
+    circles come after them, and the circles are renumbered by key when
+    a free circle's label is smaller than some walked key.  A resolution
+    holds at most 255 circles.
+    """
     if not 0 <= alpha < (1 << diagram.n):
         raise ValueError("alpha out of range")
-    crossings = diagram.crossings
-    visited: set[int] = set()
-    circles = []
-    for start_arc in diagram.arcs:
-        if start_arc in visited:
+    arcs = diagram.arcs
+    slot_arc = diagram._slot_arc
+    # Circle k is written as k + 1 until the end, so 0 marks an unseen arc.
+    slots = bytearray(4 * diagram.n)
+    arc_circle = bytearray(len(arcs))
+    keys = []
+    for i, start in enumerate(diagram._arc_start):
+        if arc_circle[i]:
             continue
-        if start_arc in diagram.free_arcs:
-            visited.add(start_arc)
-            circles.append(((start_arc,), ()))
-            continue
-        d = diagram.arc_dir[start_arc]
-        if d is not None:
-            cur = d[0]
-        else:
-            cur = diagram.occurrences[start_arc][0]
-        start = cur
-        arcs, transits = [], []
-        while True:
-            arc = crossings[cur[0]][cur[1]]
-            visited.add(arc)
-            occ_a, occ_b = diagram.occurrences[arc]
-            nxt_occ = occ_b if cur == occ_a else occ_a
-            arcs.append(arc)
-            ci, s_in = nxt_occ
-            bit = (alpha >> ci) & 1
-            s_out = _smoothing_partner(bit, s_in)
-            transits.append((ci, s_in, s_out))
-            out = (ci, s_out)
-            if out == start:
-                break
-            cur = out
-        circles.append((tuple(arcs), tuple(transits)))
-    circles.sort(key=lambda c: min(c[0]))
-    return Resolution(diagram, alpha, circles)
+        if len(keys) == 255:
+            raise ValueError("a resolution has more than 255 circles")
+        keys.append(arcs[i])
+        k = arc_circle[i] = len(keys)
+        if start >= 0:
+            for tail, head, out in _walk(diagram, alpha, start):
+                arc_circle[slot_arc[tail]] = k
+                slots[head] = slots[out] = k
+    order = _UNSHIFT
+    if diagram.free_arcs and keys != sorted(keys):
+        ranks = sorted(range(len(keys)), key=keys.__getitem__)
+        order = bytearray(256)
+        for rank, k in enumerate(ranks):
+            order[k + 1] = rank
+        keys.sort()
+    return Resolution(diagram, alpha, tuple(keys), bytes(slots.translate(order)), bytes(arc_circle.translate(order)))
 
 
 def transit_side(transit) -> int:
@@ -563,7 +634,7 @@ def smooth_crossings(diagram: LinkDiagram, choices: dict[int, int]) -> LinkDiagr
     for c, bit in choices.items():
         cr = diagram.crossings[c]
         for s in (0, 2) if bit == 0 else (0, 1):
-            t = _smoothing_partner(bit, s)
+            t = s ^ _SMOOTHING[bit]
             if find(cr[s]) == find(cr[t]):
                 closed.append(find(cr[s]))
             else:

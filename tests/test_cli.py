@@ -270,7 +270,25 @@ def test_homology_rejects_unreadable_file(tmp_path, capsys):
 def test_verify_suite_passes(capsys, suite):
     # signs runs the enumeration, the canonical solve and the arrow flips.
     assert main(["verify", suite]) == 0
-    assert re.search(rf"# {suite}: (\d+)/\1 passed", capsys.readouterr().out)
+    out = capsys.readouterr().out
+    summary = re.search(rf"# {suite}: (\d+)/(\d+) passed, (\d+) skipped, 0 failed", out)
+    passed, total, skipped = map(int, summary.groups())
+    assert passed + skipped == total
+    assert sum(line.startswith("SKIP ") for line in out.splitlines()) == skipped
+    # Brute-force checks above the total-rank guard do not run, and say so.
+    assert (skipped > 0) == (suite == "oracles")
+
+
+def test_verify_json_counts_skipped_checks_apart(capsys):
+    assert main(["verify", "oracles", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    skipped = [c for c in report["checks"] if c["skipped"]]
+    assert skipped and all(not c["passed"] and c["name"].startswith("brute_force_") for c in skipped)
+    assert report["counts"] == {
+        "passed": len(report["checks"]) - len(skipped),
+        "skipped": len(skipped),
+        "failed": 0,
+    }
 
 
 def cap_inputs(tmp_path):

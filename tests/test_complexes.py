@@ -465,7 +465,8 @@ def test_induced_dot_map_on_unknot():
 def test_reduce_coefficients_unknot():
     c = unknot_complex()
     assert reduce_coefficients(c, 2) == {(0, 1): 1, (0, -1): 1}
-    for bad in (1, 4, 6):
+    # A float or bool is refused even when its value is a prime.
+    for bad in (1, 4, 6, 3.5, 7.0, True, 2.0):
         with pytest.raises(ValueError):
             reduce_coefficients(c, bad)
 
@@ -567,7 +568,7 @@ def _reduced_table_marked_at(c, arc):
     bits = {}
     for alpha in c.cube.vertices():
         r = c.cube.resolution(alpha)
-        bits[alpha] = c.cube.space(alpha).pos[r.circle_key(r.arc_circle[arc])]
+        bits[alpha] = c.cube.space(alpha).pos[r.circle_key(r.arc_circle(arc))]
     table = complexes_module._table(*complexes_module._marked_half(c, bits))
     return {(h, q + 1): group for (h, q), group in table.items()}
 

@@ -1,4 +1,8 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddkh.linkdiag import (
     LinkDiagram,
@@ -22,6 +26,7 @@ from oddkh.fixtures import (
     rational_knot,
     reidemeister_pairs,
     torus_knot_8_19,
+    unlink,
 )
 from oddkh.verify import named_diagrams
 
@@ -145,14 +150,113 @@ def test_resolve_trefoil_circle_counts():
 def test_resolution_walk_structure():
     d = parse_pd(HOPF_POS)
     r = resolve(d, 0b00)
-    # Every slot is assigned to exactly one circle.
-    assert set(r.slot_circle) == {(c, s) for c in range(2) for s in range(4)}
+    # Every slot is assigned to exactly one circle, the one whose walk
+    # enters or leaves a crossing there.
+    slots = {(c, s): r.slot_circles(c)[s] for c in range(2) for s in range(4)}
+    assert set(slots.values()) == set(range(r.n_circles))
+    walked = []
     for idx in range(r.n_circles):
-        transits = r.circle_transits(idx)
-        for t in transits:
+        for t in r.circle_transits(idx):
             assert transit_side(t) in (1, -1)
+            walked += [(t[0], t[1]), (t[0], t[2])]
+            assert slots[t[0], t[1]] == slots[t[0], t[2]] == idx
+    assert sorted(walked) == sorted(slots)
     # Arcs partition between the circles.
     assert sorted(a for idx in range(r.n_circles) for a in r.circle_arcs(idx)) == [1, 2, 3, 4]
+
+
+def reference_resolve(diagram, alpha):
+    """Every circle as (arcs, transits), sorted by smallest arc.
+
+    The dictionary walk that ``resolve`` replaced, kept as its oracle:
+    each circle starts at its smallest arc, in the arc's flow direction
+    when it has one, and records a (crossing, entry_slot, exit_slot)
+    transit per arc.
+    """
+    visited = set()
+    circles = []
+    for start_arc in diagram.arcs:
+        if start_arc in visited:
+            continue
+        if start_arc in diagram.free_arcs:
+            visited.add(start_arc)
+            circles.append(((start_arc,), ()))
+            continue
+        d = diagram.arc_dir[start_arc]
+        cur = d[0] if d is not None else diagram.occurrences[start_arc][0]
+        start = cur
+        arcs, transits = [], []
+        while True:
+            arc = diagram.crossings[cur[0]][cur[1]]
+            visited.add(arc)
+            occ_a, occ_b = diagram.occurrences[arc]
+            ci, s_in = occ_b if cur == occ_a else occ_a
+            s_out = s_in ^ 1 if not alpha >> ci & 1 else 3 - s_in
+            arcs.append(arc)
+            transits.append((ci, s_in, s_out))
+            cur = (ci, s_out)
+            if cur == start:
+                break
+        circles.append((tuple(arcs), tuple(transits)))
+    return sorted(circles, key=lambda c: min(c[0]))
+
+
+def assert_resolutions_match_reference(diagram):
+    for alpha in range(1 << diagram.n):
+        r = resolve(diagram, alpha)
+        circles = reference_resolve(diagram, alpha)
+        assert r.keys == tuple(min(arcs) for arcs, _ in circles)
+        slot_circle = {}
+        for idx, (arcs, transits) in enumerate(circles):
+            assert r.circle_arcs(idx) == arcs
+            assert r.circle_transits(idx) == transits
+            assert r.arc_circles(arcs) == (idx,) * len(arcs)
+            for a in arcs:
+                assert r.arc_circle(a) == idx
+            for c, s_in, s_out in transits:
+                slot_circle[c, s_in] = slot_circle[c, s_out] = idx
+        assert {(c, s): r.slot_circles(c)[s] for c in range(diagram.n) for s in range(4)} == slot_circle
+
+
+def test_resolutions_match_the_reference_walk_on_corpus():
+    diagrams = [d for _, d in named_diagrams(8)]
+    diagrams.append(unlink(3))
+    # A free circle whose label sits between walked keys renumbers circles.
+    diagrams.append(LinkDiagram([[2, 7, 3, 8], [7, 2, 8, 3]], free_arcs=(1, 5)))
+    diagrams += [attach_band(parse_pd(TREFOIL), 1, 3)[0], attach_band(unlink(1), 1, 1)[0]]
+    for d in diagrams:
+        assert_resolutions_match_reference(d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(st.sampled_from([k for k in range(1 - n, n) if k]), min_size=1, max_size=8).map(
+            lambda w: braid_closure(w, n)
+        )
+    )
+)
+def test_resolutions_match_the_reference_walk_on_braid_closures(diagram):
+    assert_resolutions_match_reference(diagram)
+
+
+def test_resolve_refuses_more_than_255_circles():
+    assert resolve(parse_pd({"pd": [], "free_circles": 255}), 0).n_circles == 255
+    with pytest.raises(ValueError, match="more than 255 circles"):
+        resolve(parse_pd({"pd": [], "free_circles": 256}), 0)
+
+
+def test_resolutions_take_under_a_kilobyte_per_vertex():
+    d = rational_knot((3, 3, 4))
+    assert d.n == 10
+    tracemalloc.start()
+    try:
+        resolutions = [resolve(d, alpha) for alpha in range(1 << d.n)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(resolutions) == 1024
+    assert held / len(resolutions) < 1024
 
 
 def test_transit_side_rejects_non_pairs():
