@@ -273,9 +273,10 @@ def _finish(cx_big: ChainComplex, pairs, cx_small: ChainComplex, translate):
     incl, proj, diff = _retract(cx_big, pairs)
     to_small: dict[tuple, tuple] = {}
     to_big: dict[tuple, tuple] = {}
+    basis = {h: cx_big.basis(h) for h in cx_big.degrees()}
     for x in proj:
         h, i = x
-        gen_s = translate(*cx_big.basis(h)[i])
+        gen_s = translate(*basis[h][i])
         to_small[x] = gen_s
         to_big[gen_s] = (h, x)
     if len(to_big) != sum(cx_small.dim(h) for h in cx_small.degrees()):

@@ -6,6 +6,9 @@ and carries the chain-map calculus: composition, comparison up to sign,
 integral homotopy decision, and induced maps on homology presentations.
 Every reader groups generators by quantum degree through one layout
 (``_layout``) and cuts matrices into quantum blocks with one cutter.
+No generator is stored: each degree is a list of vertex runs, and
+(alpha, mask) is alpha's start plus the mask's rank in the one
+``oddtqft.monomial_order`` of alpha's circle count.
 
 Homology tables are computed on half of the complex.  Ozsvath,
 Rasmussen and Szabo ("Odd Khovanov homology", AGT 2013) show that over
@@ -32,10 +35,13 @@ full differential.  Every placement is read back by one entry gate
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cube import Cube, _first_failing_face, _first_wrong_table, solve_sign_assignment
 from .linalg import IntMatrix, elementary_divisors, integer_cokernel, integer_kernel, solve_integer
+from .oddtqft import monomial_order
 
 __all__ = [
     "ChainComplex",
@@ -43,7 +49,6 @@ __all__ = [
     "ChainMap",
     "HomologyPresentation",
     "assemble_complex",
-    "verify_differential_squares",
     "homology",
     "homology_presentation",
     "graded_euler_characteristic",
@@ -60,27 +65,36 @@ __all__ = [
 
 
 class ChainComplex:
-    """Chain groups with labeled bases, one differential per degree.
+    """Chain groups as vertex runs, one differential per degree.
 
-    Basis elements are (vertex, monomial mask) pairs carrying a quantum
-    degree; the differential raises homological degree by one and
-    preserves quantum degree.  Differentials given to the constructor
-    are kept as given; an assembled complex places each d_h on the first
-    ``differential(h)`` call and keeps it (see ``assemble_complex``).
+    ``runs[h]`` lists degree h's (vertex, circle count) pairs in order; a
+    vertex with k circles holds the masks of the shared
+    ``monomial_order(k)``.  The complex keeps each vertex's start, and
+    generator (alpha, mask) is alpha's start plus the mask's rank;
+    ``basis(h)`` builds the (vertex, mask) pairs on demand.  Each
+    generator has a quantum degree, which the differential preserves.
+    Differentials given to the constructor are kept as given; an
+    assembled complex places each d_h on the first ``differential(h)``
+    call and keeps it (see ``assemble_complex``).
     """
 
     __slots__ = (
-        "cube", "signs", "n_minus", "_basis", "_qdeg", "_index", "_given", "_diff", "_layout", "_pres",
+        "cube", "signs", "n_minus", "_runs", "_at", "_qdeg", "_given", "_diff", "_layout", "_pres",
         "_blocks",
     )
 
-    def __init__(self, cube: Cube, signs: dict, basis: dict, qdeg: dict, diff: dict | None = None):
+    def __init__(self, cube: Cube, signs: dict, runs: dict, qdeg: dict, diff: dict | None = None):
         self.cube = cube
         self.signs = signs
         self.n_minus = cube.diagram.n_minus
-        self._basis = basis
+        # Per degree: each run as (vertex, start, mask order, mask ranks),
+        # and each vertex's run.
+        self._runs, self._at = {}, {}
+        for h, r in runs.items():
+            starts = accumulate((1 << k for _, k in r), initial=0)
+            self._runs[h] = tuple((alpha, s, *monomial_order(k)) for (alpha, k), s in zip(r, starts))
+            self._at[h] = {alpha: i for i, (alpha, _) in enumerate(r)}
         self._qdeg = qdeg
-        self._index = None
         self._given = diff is not None
         self._diff = dict(diff or {})
         self._layout = None
@@ -88,26 +102,26 @@ class ChainComplex:
         self._blocks: dict[int, dict[int, IntMatrix]] = {}
 
     def degrees(self) -> list[int]:
-        return sorted(self._basis)
+        return sorted(self._runs)
 
     def dim(self, h: int) -> int:
-        return len(self._basis.get(h, ()))
+        return len(self._qdeg.get(h, ()))
 
     def basis(self, h: int) -> tuple:
-        return self._basis.get(h, ())
+        return tuple((alpha, m) for alpha, _, order, _ in self._runs.get(h, ()) for m in order)
 
     def quantum_degrees(self, h: int) -> tuple:
         return self._qdeg.get(h, ())
 
     def index(self, h: int, gen) -> int:
-        if self._index is None:
-            self._index = {k: {g: i for i, g in enumerate(v)} for k, v in self._basis.items()}
-        return self._index[h][gen]
+        alpha, mask = gen
+        _, start, _, rank = self._runs[h][self._at[h][alpha]]
+        return start + rank[mask]
 
     def differential(self, h: int) -> IntMatrix:
         d = self._diff.get(h)
         if d is None:
-            if self._given or h not in self._basis or h + 1 not in self._basis:
+            if self._given or h not in self._runs or h + 1 not in self._runs:
                 return IntMatrix.zero(self.dim(h + 1), self.dim(h))
             d = self._diff[h] = _place(self, h, _one_block(self.dim(h)), _one_block(self.dim(h + 1)))[0]
         return d
@@ -119,18 +133,18 @@ class ChainComplex:
         return list(_layout(self).get(h, _EMPTY)[0].get(q, ()))
 
     def same_shape(self, other: "ChainComplex") -> bool:
-        return self._basis == other._basis and self._qdeg == other._qdeg
+        return self._runs == other._runs and self._qdeg == other._qdeg
 
 
 def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     """Flatten a cube along a coherent edge-sign choice.
 
     With no signs given the canonical assignment is used.  Assembly lays
-    out the chain groups vertex by vertex and runs the cube-level gates
-    of ``_validate`` (d squared vanishes face by face, every shape table
-    is its saddle map), but builds no differential.  The reader decides
-    what ``_place`` writes from the edge tables, and ``_check_entries``
-    reads back every placement:
+    out the chain groups as one run per vertex and runs the cube-level
+    gates of ``_validate`` (d squared vanishes face by face, every shape
+    table is its saddle map), but builds no differential.  The reader
+    decides what ``_place`` writes from the edge tables, and
+    ``_check_entries`` reads back every placement:
 
     - ``differential(h)`` places the full d_h once and keeps it; chain
       maps, presentations, homotopies and ``is_chain_map`` read these;
@@ -146,19 +160,16 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
         signs = solve_sign_assignment(cube)
     nm = cube.diagram.n_minus
     shift_q = cube.diagram.n_plus - 2 * nm
-    basis: dict[int, list] = {}
+    runs: dict[int, list] = {}
     qdeg: dict[int, list] = {}
     for alpha in cube.vertices():
         h = alpha.bit_count() - nm
         circles = cube.resolution(alpha).n_circles
-        sub = cube.space(alpha).basis()
-        basis.setdefault(h, []).extend((alpha, m) for m in sub)
-        qdeg.setdefault(h, []).extend(
-            circles - 2 * m.bit_count() + alpha.bit_count() + shift_q for m in sub
-        )
-    basis = {h: tuple(v) for h, v in basis.items()}
+        runs.setdefault(h, []).append((alpha, circles))
+        top = circles + alpha.bit_count() + shift_q
+        qdeg.setdefault(h, []).extend(top - 2 * m.bit_count() for m in monomial_order(circles)[0])
     qdeg = {h: tuple(v) for h, v in qdeg.items()}
-    cx = ChainComplex(cube, dict(signs), basis, qdeg)
+    cx = ChainComplex(cube, dict(signs), runs, qdeg)
     _validate(cx)
     return cx
 
@@ -167,16 +178,6 @@ def _one_block(n: int) -> tuple:
     """The layout (see ``_layout``) that keeps n generators in one block, in order."""
     each = list(range(n))
     return {0: each}, each, (0,) * n
-
-
-def _offsets(c: ChainComplex, h: int) -> dict:
-    """Where each vertex's generators start in degree h, in basis order."""
-    gens, out, k = c.basis(h), {}, 0
-    while k < len(gens):
-        alpha = gens[k][0]
-        out[alpha] = k
-        k += c.cube.space(alpha).dim
-    return out
 
 
 def _place(c: ChainComplex, h: int, src: tuple, dst: tuple) -> dict:
@@ -195,10 +196,10 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple) -> dict:
     cube, signs = c.cube, c.signs
     (cols, src_pos, keys), (rows, dst_pos, _) = src, dst
     by_key: dict = {k: ({}, len(rows.get(k, ()))) for k in cols}
-    offset = _offsets(c, h + 1)
+    targets, run_of = c._runs[h + 1], c._at[h + 1]
     # Each target vertex's block row of every mask, built once.
     at: dict[int, list] = {}
-    for alpha, start in _offsets(c, h).items():
+    for alpha, start, order, _ in c._runs[h]:
         # Entries go in generator order, crossing by crossing: the
         # unit elimination breaks pivot ties by entry order, so this
         # order keeps its pivots and the generators it reports.
@@ -209,10 +210,10 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple) -> dict:
             beta = alpha | 1 << k
             place = at.get(beta)
             if place is None:
-                base, index = offset[beta], cube.space(beta).basis_index()
-                place = at[beta] = [dst_pos[base + index[m]] for m in range(len(index))]
+                _, base, _, rank = targets[run_of[beta]]
+                place = at[beta] = [dst_pos[base + r] for r in rank]
             out.append((signs[alpha, k], place, cube.edge_table(alpha, k)))
-        for j, mask in enumerate(cube.space(alpha).basis(), start):
+        for j, mask in enumerate(order, start):
             p = src_pos[j]
             if p < 0:
                 continue
@@ -269,15 +270,15 @@ def _check_entries(c: ChainComplex, h: int, blocks: dict, src: tuple, dst: tuple
     """
     cube = c.cube
     (cols, src_pos, _), (rows, _, _) = src, dst
-    gens, targets = c.basis(h), c.basis(h + 1)
     qs, qt = c.quantum_degrees(h), c.quantum_degrees(h + 1)
+    sources, targets = c._runs[h], c._runs[h + 1]
+    source_starts, target_starts = [run[1] for run in sources], [run[1] for run in targets]
     # For each vertex of degree h, its edges by target vertex, and the
     # terms its placed generators have along them.
     edges: dict[int, dict] = {}
     lengths: dict[int, tuple] = {}
     expected = 0
-    for alpha, start in _offsets(c, h).items():
-        basis = cube.space(alpha).basis()
+    for alpha, start, basis, _ in sources:
         flags = src_pos[start:start + len(basis)]
         whole = min(flags) >= 0
         placed = basis if whole else [m for m, p in zip(basis, flags) if p >= 0]
@@ -302,16 +303,18 @@ def _check_entries(c: ChainComplex, h: int, blocks: dict, src: tuple, dst: tuple
             if p != last:
                 last = p
                 j = members[p]
-                alpha, mask = gens[j]
+                alpha, start, basis, _ = sources[bisect_right(source_starts, j) - 1]
+                mask = basis[j - start]
                 out = edges[alpha]
             i = below[r]
             if qt[i] != qs[j]:
                 raise AssertionError("differential entry changes quantum degree")
-            beta, m = targets[i]
+            beta, start, basis, _ = targets[bisect_right(target_starts, i) - 1]
             edge = out.get(beta)
             if edge is None:
                 raise AssertionError(f"differential entry off the cube edges in degree {h}")
             e, table = edge
+            m = basis[i - start]
             for coeff, target in table[mask]:
                 if target == m:
                     break
@@ -321,17 +324,6 @@ def _check_entries(c: ChainComplex, h: int, blocks: dict, src: tuple, dst: tuple
                 raise AssertionError(f"differential entry differs from its edge map in degree {h}")
     if found != expected:
         raise AssertionError(f"degree {h} has {found} entries, its edges {expected} terms")
-
-
-def verify_differential_squares(cube: Cube, eps: dict) -> bool:
-    """Whether d^2 = 0 for the edge signs ``eps``, without assembling matrices.
-
-    This is the d^2 check of ``assemble_complex``: the composites of
-    each face key once on every monomial, then the sign parity face by
-    face (``cube._first_failing_face``).  Memory stays flat on cubes too
-    large to flatten.
-    """
-    return _first_failing_face(cube, eps) is None
 
 
 @dataclass(frozen=True)
@@ -416,7 +408,10 @@ def _marked_layout(c: ChainComplex, bits: dict | None = None) -> dict:
     if not c.cube.diagram.arcs:
         return _layout(c)
     bits = bits or {}
-    return _layout(c, {h: [m >> bits.get(alpha, 0) & 1 for alpha, m in c.basis(h)] for h in c.degrees()})
+    return _layout(c, {
+        h: [m >> bits.get(alpha, 0) & 1 for alpha, _, order, _ in c._runs[h] for m in order]
+        for h in c.degrees()
+    })
 
 
 def _marked_half(c: ChainComplex, bits: dict | None = None) -> tuple[dict, dict]:

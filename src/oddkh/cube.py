@@ -82,9 +82,9 @@ class Cube:
     Resolutions and state spaces are derived on demand and cached; a
     resolution holds its circle keys and two byte tables (see
     ``linkdiag.Resolution``), and a circle's key is one of its arcs, so
-    ``edge`` reads where each circle goes without walking one.  The
-    one per-edge cache is the id of the edge's shape (see
-    ``edge_shape``): the checks of ``edge`` run once for every edge when
+    ``_correspondence`` reads where each circle goes without walking one.
+    The one per-edge cache is the id of the edge's shape (see
+    ``edge_shape``): the edge checks run once for every edge when
     its shape is looked up, and edges of the same shape share one
     table, so the cube keeps no per-edge key correspondence.  Face keys
     are cached with the sign their paths commute with.  `theory` fixes
@@ -151,33 +151,45 @@ class Cube:
                     if not alpha >> c2 & 1:
                         yield alpha, c1, c2
 
-    def edge(self, alpha: int, c: int) -> CubeEdge:
-        """The circle correspondence along one edge, built afresh."""
+    def _correspondence(self, alpha: int, c: int) -> tuple:
+        """Edge (alpha, c)'s shape and, for a split, its parent's position.
+
+        The shape is (kind, target, child0, child1): ``target[i]`` is the
+        position of source circle i's image, a split's parent going to
+        child0, its first child.  A circle's key is one of its arcs, so it
+        names the circle's image; only a split's parent has two.
+        """
         if alpha >> c & 1:
             raise ValueError("crossing already resolved at this vertex")
         ra = self.resolution(alpha)
         rb = self.resolution(alpha | 1 << c)
         support = set(ra.slot_circles(c))
         delta = rb.n_circles - ra.n_circles
-        # A circle's key is one of its arcs, so it names the circle's
-        # image; only a split's parent has two.
-        image = dict(zip(ra.keys, map(rb.keys.__getitem__, rb.arc_circles(ra.keys))))
+        target = rb.arc_circles(ra.keys)
         if delta == -1:
             if len(support) != 2:
                 raise AssertionError("merge edge must touch two circles")
-            return CubeEdge(alpha, c, "merge", image)
+            return ("merge", target, None, None), None
         if delta == 1:
             if len(support) != 1:
                 raise AssertionError("split edge must touch one circle")
-            parent = ra.keys[next(iter(support))]
+            parent = next(iter(support))
             # The child through the (0,3) strand of the new smoothing
             # comes first; swapping the children negates the map.
-            child0, child1 = (rb.keys[i] for i in rb.slot_circles(c)[:2])
+            child0, child1 = rb.slot_circles(c)[:2]
             if child0 == child1:
                 raise AssertionError("split children must differ")
-            image[parent] = child0
-            return CubeEdge(alpha, c, "split", image, parent, child0, child1)
+            return ("split", target[:parent] + (child0,) + target[parent + 1:], child0, child1), parent
         raise AssertionError("a saddle changes the circle count by one")
+
+    def edge(self, alpha: int, c: int) -> CubeEdge:
+        """The circle correspondence along one edge, built afresh."""
+        (kind, target, child0, child1), parent = self._correspondence(alpha, c)
+        src, dst = self.resolution(alpha).keys, self.resolution(alpha | 1 << c).keys
+        image = dict(zip(src, map(dst.__getitem__, target)))
+        if kind == "merge":
+            return CubeEdge(alpha, c, kind, image)
+        return CubeEdge(alpha, c, kind, image, src[parent], dst[child0], dst[child1])
 
     def edge_shape(self, alpha: int, c: int) -> int:
         """The id of one edge's shape, numbered in the order first seen.
@@ -187,30 +199,12 @@ class Cube:
         offspring.  Circles are sorted by their smallest arc, which is
         their key, so a circle's index in its resolution is its
         generator's position in the space: the shape is read off the
-        two resolutions with the checks of ``edge``, and ``edge`` runs
-        only to build the table of a shape not seen before.
+        two resolutions (``_correspondence``), and ``edge`` runs only to
+        build the table of a shape not seen before.
         """
         i = self._edge_ids[alpha * self.n + c]
         if i < 0:
-            ra = self.resolution(alpha)
-            rb = self.resolution(alpha | 1 << c)
-            support = set(ra.slot_circles(c))
-            delta = rb.n_circles - ra.n_circles
-            target = rb.arc_circles(ra.keys)
-            if delta == -1:
-                if len(support) != 2:
-                    raise AssertionError("merge edge must touch two circles")
-                shape = ("merge", target)
-            elif delta == 1:
-                if len(support) != 1:
-                    raise AssertionError("split edge must touch one circle")
-                parent = next(iter(support))
-                child0, child1 = rb.slot_circles(c)[:2]
-                if child0 == child1:
-                    raise AssertionError("split children must differ")
-                shape = ("split", target[:parent] + (child0,) + target[parent + 1:], child0, child1)
-            else:
-                raise AssertionError("a saddle changes the circle count by one")
+            shape = self._correspondence(alpha, c)[0]
             i = self._shapes.get(shape)
             if i is None:
                 i = self._shapes[shape] = len(self._tables)
@@ -656,7 +650,7 @@ def arrow_flipped_signs(cube: Cube, reversed_crossings) -> dict:
     theory's differential.
     """
     flip = set(reversed_crossings)
-    # _face_sigmas runs edge_shape, and with it the checks of ``edge``,
+    # _face_sigmas runs edge_shape, and with it the edge checks,
     # on every edge; a split is then an edge that adds a circle.
     sigma = _face_sigmas(cube, cube.face_keys())
     circles = [cube.resolution(alpha).n_circles for alpha in cube.vertices()]

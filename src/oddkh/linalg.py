@@ -29,7 +29,6 @@ __all__ = [
     "solve_integer",
     "integer_kernel",
     "integer_cokernel",
-    "integer_rank",
     "elementary_divisors",
     "integer_inverse",
     "solve_gf2",
@@ -435,11 +434,6 @@ def elementary_divisors(A: IntMatrix) -> tuple[int, ...]:
     block, _, _, pivots, _ = _eliminate_units(A)
     tail = smith_normal_form(block).diagonal if block.data else ()
     return (1,) * len(pivots) + tuple(d for d in tail if d)
-
-
-def integer_rank(A: IntMatrix) -> int:
-    """Rank of A over the rationals (equal to the rank over Z)."""
-    return len(elementary_divisors(A))
 
 
 def integer_inverse(A: IntMatrix) -> IntMatrix:

@@ -14,8 +14,11 @@ descriptions; none are chosen ad hoc here.
 
 from __future__ import annotations
 
+from functools import cache
+
 __all__ = [
     "ExteriorSpace",
+    "monomial_order",
     "TqftMap",
     "vertex_space",
     "relabel_term",
@@ -30,10 +33,22 @@ __all__ = [
 ]
 
 
-class ExteriorSpace:
-    """Exterior algebra on one generator per circle key."""
+@cache
+def monomial_order(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(order, rank) of the exterior algebra on k generators, one pair per k.
 
-    __slots__ = ("keys", "k", "dim", "pos", "_basis", "_index")
+    ``order`` lists the 2^k masks by (weight, mask), and ``rank[mask]``
+    is the mask's place in it.
+    """
+    order = tuple(sorted(range(1 << k), key=lambda m: (m.bit_count(), m)))
+    # The inverse permutation: positions sorted by the mask they hold.
+    return order, tuple(sorted(range(1 << k), key=order.__getitem__))
+
+
+class ExteriorSpace:
+    """Exterior algebra on one generator per circle key, in the shared ``monomial_order``."""
+
+    __slots__ = ("keys", "k", "dim", "pos")
 
     def __init__(self, keys):
         self.keys = tuple(sorted(keys))
@@ -42,19 +57,13 @@ class ExteriorSpace:
         self.k = len(self.keys)
         self.dim = 1 << self.k
         self.pos = {key: i for i, key in enumerate(self.keys)}
-        self._basis = None
-        self._index = None
 
-    def basis(self) -> list[int]:
-        if self._basis is None:
-            self._basis = sorted(range(self.dim), key=lambda m: (m.bit_count(), m))
-            self._index = {m: i for i, m in enumerate(self._basis)}
-        return self._basis
+    def basis(self) -> tuple[int, ...]:
+        return monomial_order(self.k)[0]
 
-    def basis_index(self) -> dict[int, int]:
-        """Each mask's position in ``basis()``."""
-        self.basis()
-        return self._index
+    def basis_index(self) -> tuple[int, ...]:
+        """Each mask's position in ``basis()``, indexed by the mask."""
+        return monomial_order(self.k)[1]
 
     def __eq__(self, other):
         if not isinstance(other, ExteriorSpace):

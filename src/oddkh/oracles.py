@@ -23,6 +23,9 @@ __all__ = [
     "brute_force_homology",
 ]
 
+# The largest total rank ``brute_force_homology`` accepts.
+BRUTE_FORCE_LIMIT = 64
+
 
 class LaurentPolynomial:
     """A one-variable Laurent polynomial as {exponent: coefficient}.
@@ -287,8 +290,8 @@ def _naive_divisors(rows: list[list[int]]) -> list[int]:
 def brute_force_homology(c: ChainComplex) -> BigradedHomology:
     """Homology of a small complex by dense elementary elimination."""
     total = sum(c.dim(h) for h in c.degrees())
-    if total > 64:
-        raise ValueError(f"size guard exceeded: total rank {total} > 64")
+    if total > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"size guard exceeded: total rank {total} > {BRUTE_FORCE_LIMIT}")
     table = {}
     for h, q in c.gradings():
         here = c.q_block(h, q)

@@ -53,7 +53,7 @@ from .fixtures import (
     unlink,
 )
 from .linalg import IntMatrix
-from .oracles import brute_force_homology, even_khovanov_mod2, kauffman_bracket
+from .oracles import BRUTE_FORCE_LIMIT, brute_force_homology, even_khovanov_mod2, kauffman_bracket
 
 
 @dataclass(frozen=True)
@@ -468,7 +468,7 @@ def run_oracles(max_crossings: int = 12) -> list[Check]:
         def brute(d=d):
             cx = _cx(d)
             total = sum(cx.dim(h) for h in cx.degrees())
-            if total > 64:
+            if total > BRUTE_FORCE_LIMIT:
                 return None, f"skipped, total rank {total} above the brute-force guard"
             ok = homology(cx) == brute_force_homology(cx)
             return ok, f"row reduction agrees at total rank {total}"

@@ -1,5 +1,8 @@
 """Flattened complexes, homology, and the chain-map calculus."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,6 @@ from oddkh.complexes import (
     is_chain_map,
     reduce_coefficients,
     replay_homotopy,
-    verify_differential_squares,
     zero_chain_map,
 )
 from oddkh import cube as cube_module
@@ -164,16 +166,21 @@ def streaming_squares_reference(cube, eps):
     return True
 
 
+def squares_vanish(cube, eps):
+    """Whether d^2 = 0 for the edge signs ``eps``, by the d^2 gate of assembly."""
+    return cube_module._first_failing_face(cube, eps) is None
+
+
 @pytest.mark.parametrize("theory", ["x", "y"])
 def test_square_check_matches_streaming_reference(theory):
     for name, diagram in named_diagrams(7):
         cube = build_cube(diagram, theory)
         eps = solve_sign_assignment(cube)
-        assert verify_differential_squares(cube, eps) is streaming_squares_reference(cube, eps) is True
+        assert squares_vanish(cube, eps) is streaming_squares_reference(cube, eps) is True
         for edge in list(eps)[:: max(1, len(eps) // 5)]:
             broken = dict(eps)
             broken[edge] = -broken[edge]
-            got = verify_differential_squares(cube, broken)
+            got = squares_vanish(cube, broken)
             assert got is streaming_squares_reference(cube, broken), (name, edge)
             # A flipped edge breaks d^2 unless all its faces vanish.
             faces = [f for f in cube.faces() if edge in cube_module.face_edges(*f)]
@@ -229,7 +236,54 @@ def mutant_differentials(cube, mutation, eligible=lambda mask: True):
 
 def mutant_complex(cube, mutation):
     cx, diff = mutant_differentials(cube, mutation)
-    return ChainComplex(cube, cx.signs, dict(cx._basis), dict(cx._qdeg), diff)
+    runs = {h: [(alpha, cube.space(alpha).k) for alpha, *_ in r] for h, r in cx._runs.items()}
+    return ChainComplex(cube, cx.signs, runs, dict(cx._qdeg), diff)
+
+
+def assert_index_inverts_basis(cx):
+    for h in cx.degrees():
+        for j, gen in enumerate(cx.basis(h)):
+            assert cx.index(h, gen) == j, (h, gen)
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_index_inverts_basis_on_corpus(theory):
+    for _, diagram in named_diagrams(5):
+        assert_index_inverts_basis(assemble_complex(build_cube(diagram, theory)))
+
+
+def test_index_inverts_basis_on_hand_built_complexes():
+    for code in (TREFOIL, FIG8, POKE):
+        assert_index_inverts_basis(mutant_complex(build_cube(parse_pd(code)), "offset"))
+
+
+def test_vertices_of_one_circle_count_share_one_order():
+    cube = build_cube(parse_pd(FIG8))
+    cx = assemble_complex(cube)
+    first = {}
+    for h in cx.degrees():
+        for alpha, _, order, rank in cx._runs[h]:
+            k = cube.resolution(alpha).n_circles
+            seen = first.setdefault(k, (order, rank))
+            assert seen[0] is order is cube.space(alpha).basis()
+            assert seen[1] is rank is cube.space(alpha).basis_index()
+    assert len(first) < sum(len(r) for r in cx._runs.values())
+
+
+def test_assembled_complex_takes_under_150_bytes_per_generator():
+    d = rational_knot((3, 3, 4))
+    assert d.n == 10
+    tracemalloc.start()
+    try:
+        cx = assemble_complex(build_cube(d, "x"))
+        reduce_coefficients(cx, 2)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gens = sum(cx.dim(h) for h in cx.degrees())
+    assert gens == 18570
+    assert held / gens < 150
 
 
 @pytest.mark.parametrize("mutation", ["offset", "mask", "sign", "drop"])
@@ -337,11 +391,11 @@ def test_streaming_square_check():
     for code in (TREFOIL, FIG8):
         cube = build_cube(parse_pd(code))
         eps = solve_sign_assignment(cube)
-        assert verify_differential_squares(cube, eps)
+        assert squares_vanish(cube, eps)
         edge = next(iter(eps))
         broken = dict(eps)
         broken[edge] = -broken[edge]
-        assert not verify_differential_squares(cube, broken)
+        assert not squares_vanish(cube, broken)
 
 
 def test_homology_independent_of_sign_assignment():

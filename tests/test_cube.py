@@ -58,6 +58,13 @@ def test_edge_kinds_follow_circle_counts():
             assert (edge.kind, delta) in {("merge", -1), ("split", 1)}
 
 
+def test_edges_refuse_a_resolved_crossing():
+    cube = build_cube(parse_pd(TREFOIL))
+    for read in (cube.edge, cube.edge_shape):
+        with pytest.raises(ValueError, match="already resolved"):
+            read(0b010, 1)
+
+
 def test_edge_map_matches_streamed_terms():
     cube = build_cube(parse_pd(TREFOIL))
     for alpha, c in cube.edges():

@@ -7,6 +7,7 @@ from oddkh.oddtqft import (
     death_map,
     dot_map,
     merge_map,
+    monomial_order,
     relabel_map,
     split_map,
 )
@@ -15,8 +16,15 @@ from oddkh.oddtqft import (
 def test_basis_order_weight_then_mask():
     sp = ExteriorSpace([4, 1, 9])
     assert sp.keys == (1, 4, 9)
-    assert sp.basis() == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+    assert list(sp.basis()) == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
     assert sp.basis_index()[0b011] == 4
+
+
+def test_spaces_of_one_circle_count_share_one_order():
+    a, b = ExteriorSpace([4, 1, 9]), ExteriorSpace([2, 3, 5])
+    assert a.basis() is b.basis() is monomial_order(3)[0]
+    assert a.basis_index() is b.basis_index() is monomial_order(3)[1]
+    assert ExteriorSpace([1, 2]).basis() is not a.basis()
 
 
 def test_relabel_sign_tracks_inversions():

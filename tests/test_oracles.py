@@ -83,9 +83,17 @@ def test_even_mod2_matches_odd_reduction():
         assert even_khovanov_mod2(d) == reduce_coefficients(cx, 2)
 
 
-def _manual_complex(basis, qdeg, diff):
+def _manual_complex(runs, qdeg, diff):
     shell = build_cube(parse_pd([]))
-    return ChainComplex(shell, {}, basis, qdeg, diff)
+    return ChainComplex(shell, {}, runs, qdeg, diff)
+
+
+def test_hand_built_complexes_number_generators_by_vertex_runs():
+    c = _manual_complex({0: ((0, 6), (1, 0))}, {0: (0,) * 65}, {})
+    assert c.dim(0) == 65
+    assert c.basis(0)[-1] == (1, 0)
+    for j, gen in enumerate(c.basis(0)):
+        assert c.index(0, gen) == j
 
 
 def test_brute_force_zero_complex():
@@ -105,7 +113,7 @@ def test_brute_force_times_two():
 
 def test_brute_force_size_guard():
     big = _manual_complex(
-        {0: tuple((0, m) for m in range(65))},
+        {0: ((0, 6), (1, 0))},
         {0: (0,) * 65},
         {},
     )
