@@ -59,17 +59,24 @@ def _read_json(path: str):
         raise ValueError(f"{path} is not valid JSON: line {e.lineno} column {e.colno}") from None
 
 
+def _check_cap(diagram) -> None:
+    """Refuse a diagram whose crossings plus free circles exceed the cap.
+
+    Each crossing and each free circle doubles the complex.
+    """
+    cap = _crossing_cap()
+    n, free = len(diagram.crossings), len(diagram.free_arcs)
+    if n + free > cap:
+        size = f"{n} crossings plus {free} free circles" if free else f"{n} crossings"
+        raise ValueError(f"{size} exceeds the cap of {cap} (raise ODDKH_MAX_CROSSINGS to override)")
+
+
 def _load_diagram(path: str):
     data = _read_json(path)
     if isinstance(data, dict) and "name" in data:
         data = {k: v for k, v in data.items() if k != "name"}
     diagram = parse_pd(data)
-    cap = _crossing_cap()
-    if len(diagram.crossings) > cap:
-        raise ValueError(
-            f"{len(diagram.crossings)} crossings exceeds the cap of {cap}"
-            " (raise ODDKH_MAX_CROSSINGS to override)"
-        )
+    _check_cap(diagram)
     return diagram
 
 
@@ -128,9 +135,7 @@ def cmd_movie(args) -> int:
     try:
         data = _read_json(args.script)
         initial, events = script_from_dict(data)
-        cap = _crossing_cap()
-        if len(initial.crossings) > cap:
-            raise ValueError(f"{len(initial.crossings)} crossings exceeds the cap of {cap}")
+        _check_cap(initial)
     except (ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

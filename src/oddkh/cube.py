@@ -2,10 +2,10 @@
 
 Vertices carry exterior state spaces, edges carry merge or split maps,
 and square faces are sorted into the ten shapes that determine how the
-two paths around them compare.  Coherent edge signs are then built by
-doubling the cube one crossing at a time and brought into one canonical
-vertex gauge; GF(2) elimination remains only to enumerate every
-coherent choice.  Gradings and differentials live one level up.
+two paths around them compare.  The canonical coherent edge signs are
+built in one walk down the cube, with a spanning tree at +1; GF(2)
+elimination remains to enumerate every coherent choice and to complete
+pinned ones.  Gradings and differentials live one level up.
 
 An edge map depends only on its shape: where each source generator
 lands in the target space and, for a split, where the two offspring
@@ -442,7 +442,8 @@ def _face_sigmas(cube: Cube, faces) -> dict:
     classified, and the key's sign is measured on every monomial
     (``_key_sign``), the d^2 check of all faces of that key; the others
     take that sign, and the first keeps its own classification, so a
-    face classified against its paths leaves the system without
+    face classified against its paths fails the face check of
+    ``_canonical_signs`` and leaves the system of ``_gf2_signs`` without
     solution.  Vanishing-path faces (shapes vi and x) keep their
     geometric sign, classified one by one.  So ``classify_face`` runs
     once per key plus once per vi/x face after the first of its key.
@@ -512,102 +513,40 @@ def _first_wrong_table(cube: Cube):
     return None
 
 
-def _doubled_signs(cube: Cube, sigma) -> dict:
-    """Signs built by doubling the cube one crossing at a time.
+def _canonical_signs(cube: Cube, sigma: dict, refusal: str) -> dict:
+    """The canonical coherent signs for face signs ``sigma``, in ``edges`` order.
 
-    Edges along the new direction from the old half all get +1; these
-    edges form a spanning tree of the cube.  Each copied edge picks up
-    the sign that closes its mixed face, read from ``sigma(alpha, c1,
-    c2)``.  Nothing is checked here.
+    One walk down the cube; see ``solve_sign_assignment`` for why the
+    result is canonical.  Every vertex alpha but the top has a highest
+    unresolved crossing h, and the tree edge (alpha, h) reads +1.  Any
+    other unresolved c < h closes the face (alpha, c, h), whose edge
+    (alpha + c, h) is a tree edge and whose edge (alpha + h, c) sits
+    higher up, so it was set earlier in the walk.  Every face is then
+    checked: with the tree at +1 the walk gives the only candidate.
     """
     eps: dict[tuple[int, int], int] = {}
-    for k in range(cube.n):
-        top = 1 << k
-        for alpha in range(top):
-            eps[alpha, k] = 1
-        for alpha in range(top):
-            for c in range(k):
-                if not alpha >> c & 1:
-                    eps[alpha | top, c] = -sigma(alpha, c, k) * eps[alpha, c]
-    return eps
-
-
-def _canonical_signs(cube: Cube, sigma: dict, pinned: dict, refusal: str) -> dict:
-    """The canonical coherent signs for face signs ``sigma`` and pins.
-
-    See ``solve_sign_assignment`` for what makes them canonical.
-    """
-    eps = _doubled_signs(cube, lambda a, c1, c2: sigma[a, c1, c2])
-    # With the doubling tree at +1 the doubled signs are the only
-    # candidate, so one failing face means no coherent signs exist.
+    full = (1 << cube.n) - 1
+    for alpha in range(full - 1, -1, -1):
+        h = (full ^ alpha).bit_length() - 1
+        up = alpha | 1 << h
+        eps[alpha, h] = 1
+        for c in range(h):
+            if not alpha >> c & 1:
+                eps[alpha, c] = -sigma[alpha, c, h] * eps[up, c]
     for (alpha, c1, c2), s in sigma.items():
         path1 = eps[alpha, c1] * eps[alpha | 1 << c1, c2]
         path2 = eps[alpha, c2] * eps[alpha | 1 << c2, c1]
         if path1 * path2 * s != -1:
             raise ValueError(refusal)
-    # Vertex gauge g, kept in a union-find over the vertices: rel[v] is
-    # g(v) * g(parent[v]).  An edge (alpha, c) joining u and v reads
-    # eps * g(u) * g(v) after the gauge.
-    parent = list(range(1 << cube.n))
-    rel = [1] * (1 << cube.n)
-
-    def find(v: int) -> int:
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        s = 1
-        for u in reversed(path):
-            s *= rel[u]
-            parent[u] = v
-            rel[u] = s
-        return v
-
-    def unite(e, reads: int) -> bool:
-        u, v = e[0], e[0] | 1 << e[1]
-        ru, rv = find(u), find(v)
-        want = eps[e] * reads * rel[u] * rel[v]
-        if ru == rv:
-            return want == 1
-        parent[rv] = ru
-        rel[rv] = want
-        return True
-
-    for e in sorted(pinned):
-        if not unite(e, pinned[e]):
-            raise ValueError(refusal)
-    edges = list(cube.edges())
-    for e in reversed(edges):
-        unite(e, 1)
-    for v in range(1 << cube.n):
-        find(v)
-    return {e: eps[e] * rel[e[0]] * rel[e[0] | 1 << e[1]] for e in edges}
+    return {e: eps[e] for e in cube.edges()}
 
 
-def solve_sign_assignment(cube: Cube) -> dict:
-    """Canonical coherent edge signs.
+def _gf2_signs(cube: Cube, pinned: dict) -> tuple:
+    """The face system plus one row per pin, solved over GF(2).
 
-    The canonical answer is the one lexicographic elimination over
-    GF(2) gives, with the edges in (vertex, crossing) order as variables
-    and free variables set to +1: a function of the cube alone.  It is
-    built without the elimination.  Each face key is classified once
-    (``_face_sigmas``), the doubling of ``_doubled_signs`` gives the
-    candidate, and the candidate is checked on every face.  Coherent signs form one orbit
-    of the vertex gauge eps(alpha, c) -> g(alpha) eps(alpha, c)
-    g(alpha + c).  Under lowest-bit elimination the free variables are
-    the edges that are the highest edge some gauge flips, and those form
-    the maximum spanning forest by edge index: Kruskal from the last
-    edge down, with pinned edges joined first.  Flipping vertex signs so
-    that forest edges read +1 (and pinned edges their pins) gives the
-    canonical answer in time linear in the number of faces.
-    """
-    return _canonical_signs(cube, _face_sigmas(cube, cube.face_keys()), {}, "no coherent edge signs exist")
-
-
-def enumerate_sign_assignments(cube: Cube) -> list[dict]:
-    """Every coherent edge-sign choice.
-
-    Refuses to expand a solution space larger than 2^20.
+    The variables are the edges in (vertex, crossing) order, bit 1
+    reading -1.  Returns the edge index, the solution with every free
+    variable at +1 (None when there is none) and the null space.
     """
     index = {e: i for i, e in enumerate(cube.edges())}
     # Product of the four edge signs must be -sigma: as bits, the row
@@ -619,7 +558,39 @@ def enumerate_sign_assignments(cube: Cube) -> list[dict]:
             row |= 1 << index[e]
         rows.append(row)
         rhs.append(1 if sigma == 1 else 0)
+    for e, v in pinned.items():
+        rows.append(1 << index[e])
+        rhs.append(1 if v == -1 else 0)
     sol, null = solve_gf2(rows, rhs, len(index))
+    return index, sol, null
+
+
+def solve_sign_assignment(cube: Cube) -> dict:
+    """Canonical coherent edge signs.
+
+    The canonical answer is the one lexicographic elimination over
+    GF(2) gives, with the edges in (vertex, crossing) order as variables
+    and free variables set to +1: a function of the cube alone.  It is
+    built without the elimination.  Coherent signs exist and form one
+    orbit of the vertex gauge eps(alpha, c) -> g(alpha) eps(alpha, c)
+    g(alpha + c) (Ozsvath, Rasmussen and Szabo), so a spanning tree at
+    +1 fixes them.  Under lowest-bit elimination the free variables are
+    the edges that are the highest edge some gauge flips, and those form
+    the maximum spanning tree by edge index: each vertex's edge along
+    its highest unresolved crossing.  Each face key is classified once
+    (``_face_sigmas``), and ``_canonical_signs`` sets that tree to +1,
+    fills in the other edges face by face and checks every face, in
+    time linear in the number of faces.
+    """
+    return _canonical_signs(cube, _face_sigmas(cube, cube.face_keys()), "no coherent edge signs exist")
+
+
+def enumerate_sign_assignments(cube: Cube) -> list[dict]:
+    """Every coherent edge-sign choice.
+
+    Refuses to expand a solution space larger than 2^20.
+    """
+    index, sol, null = _gf2_signs(cube, {})
     if sol is None:
         raise ValueError("no coherent edge signs exist")
     if len(null) > 20:
@@ -658,17 +629,20 @@ def arrow_flipped_signs(cube: Cube, reversed_crossings) -> dict:
     for f in sigma:
         if len(negated.intersection(face_edges(*f))) % 2:
             sigma[f] = -sigma[f]
-    eps = _canonical_signs(cube, sigma, {}, "no coherent edge signs exist for the flipped arrows")
+    eps = _canonical_signs(cube, sigma, "no coherent edge signs exist for the flipped arrows")
     return {e: -v if e in negated else v for e, v in eps.items()}
 
 
 def extend_sign_assignment(cube: Cube, pinned: dict) -> dict:
     """Canonical completion of a partial edge-sign choice.
 
-    The canonical signs of ``solve_sign_assignment`` with the pinned
-    edges fixed as well: the forest that the gauge fix sets to +1 grows
-    from the pinned edges.  Raises ValueError when the pins close no
-    coherent assignment, that is when a cycle of pinned edges has the
-    wrong parity.
+    The GF(2) solution of the face system with one more row per pin,
+    free variables at +1 (``_gf2_signs``); with no pins these are the
+    signs of ``solve_sign_assignment``.  Raises ValueError when the pins
+    close no coherent assignment, that is when a cycle of pinned edges
+    has the wrong parity.
     """
-    return _canonical_signs(cube, _face_sigmas(cube, cube.face_keys()), pinned, "pinned signs admit no coherent completion")
+    index, sol, _ = _gf2_signs(cube, pinned)
+    if sol is None:
+        raise ValueError("pinned signs admit no coherent completion")
+    return {e: -1 if sol >> i & 1 else 1 for e, i in index.items()}

@@ -11,8 +11,8 @@ row set per column, and Smith normal form keeps the block as row dicts
 and as column dicts, U as rows and V as columns, so each row or column
 operation costs the nonzeros it touches.  The unit elimination, on a
 forced pivot order, gives the Reidemeister retractions of
-``cobordism``.  The GF(2) solver on bitmask rows serves only the
-enumeration of every coherent edge-sign choice of a cube.  Matrices are sparse dictionaries of
+``cobordism``.  The GF(2) solver on bitmask rows enumerates every
+coherent edge-sign choice of a cube and completes pinned ones.  Matrices are sparse dictionaries of
 arbitrary-precision Python integers; there is no floating point
 anywhere in this module.
 """

@@ -274,16 +274,14 @@ def death_map(src: ExteriorSpace, dst: ExteriorSpace, dead_key) -> TqftMap:
     if dead_key not in src.pos or dead_key in dst.pos:
         raise ValueError("dead key must leave the target")
     rest = {k: k for k in src.keys if k != dead_key}
-    p = src.pos[dead_key]
-    bit = 1 << p
+    bit = 1 << src.pos[dead_key]
     columns = {}
     for mask in range(src.dim):
-        if not mask & bit:
-            continue
-        sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-        term = relabel_term(src, dst, rest, mask ^ bit)
-        s2, out = term
-        columns[mask] = ((sign * s2, out),)
+        if mask & bit:
+            # The sign of wedging the dead generator back on from the left.
+            sign = _wedge(src, dead_key, mask ^ bit)[0]
+            s2, out = relabel_term(src, dst, rest, mask ^ bit)
+            columns[mask] = ((sign * s2, out),)
     return TqftMap(src, dst, columns)
 
 

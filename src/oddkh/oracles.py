@@ -10,6 +10,7 @@ the parsed diagram and the complex containers being checked.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
@@ -21,10 +22,16 @@ __all__ = [
     "kauffman_bracket",
     "even_khovanov_mod2",
     "brute_force_homology",
+    "largest_block",
 ]
 
-# The largest total rank ``brute_force_homology`` accepts.
-BRUTE_FORCE_LIMIT = 64
+# The most generators ``brute_force_homology`` accepts in one (h, q) block.
+BRUTE_FORCE_LIMIT = 60
+
+
+def largest_block(c: ChainComplex) -> int:
+    """The generator count of the largest (h, q) block of ``c``."""
+    return max((n for h in c.degrees() for n in Counter(c.quantum_degrees(h)).values()), default=0)
 
 
 class LaurentPolynomial:
@@ -289,9 +296,9 @@ def _naive_divisors(rows: list[list[int]]) -> list[int]:
 
 def brute_force_homology(c: ChainComplex) -> BigradedHomology:
     """Homology of a small complex by dense elementary elimination."""
-    total = sum(c.dim(h) for h in c.degrees())
-    if total > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"size guard exceeded: total rank {total} > {BRUTE_FORCE_LIMIT}")
+    largest = largest_block(c)
+    if largest > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"size guard exceeded: an (h, q) block of {largest} > {BRUTE_FORCE_LIMIT}")
     table = {}
     for h, q in c.gradings():
         here = c.q_block(h, q)

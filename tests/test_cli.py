@@ -275,8 +275,9 @@ def test_verify_suite_passes(capsys, suite):
     passed, total, skipped = map(int, summary.groups())
     assert passed + skipped == total
     assert sum(line.startswith("SKIP ") for line in out.splitlines()) == skipped
-    # Brute-force checks above the total-rank guard do not run, and say so.
-    assert (skipped > 0) == (suite == "oracles")
+    # Brute-force checks above the per-block guard (the seven 7-crossing
+    # knots) do not run, and say so.
+    assert skipped == (7 if suite == "oracles" else 0)
 
 
 def test_verify_json_counts_skipped_checks_apart(capsys):
@@ -318,6 +319,21 @@ def test_crossing_cap_refuses_a_larger_diagram(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ODDKH_MAX_CROSSINGS", "2")
     assert main(["homology", *cap_inputs(tmp_path)["homology"]]) == 1
     assert "3 crossings exceeds the cap of 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["homology", "movie"])
+@pytest.mark.parametrize("free, code", [(12, 0), (13, 1)])
+def test_crossing_cap_counts_free_circles(tmp_path, capsys, monkeypatch, command, free, code):
+    # Each free circle doubles the complex, as a crossing does.
+    monkeypatch.delenv("ODDKH_MAX_CROSSINGS", raising=False)
+    path = tmp_path / "input.json"
+    if command == "homology":
+        path.write_text(json.dumps({"pd": [], "free_circles": free}))
+    else:
+        path.write_text(json.dumps(script_to_dict(unlink(free), [saddle_event(1, 2)])))
+    assert main([command, str(path)]) == code
+    if code:
+        assert f"0 crossings plus {free} free circles exceeds the cap of 12" in capsys.readouterr().err
 
 
 def test_verify_max_crossings_overrides_the_environment(capsys, monkeypatch):

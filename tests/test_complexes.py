@@ -139,12 +139,25 @@ def test_hopf_chain_ranks():
     assert c.degrees() == [0, 1, 2]
 
 
+def doubled_signs(cube):
+    """Coherent signs other than the canonical ones: the cube doubled one
+    crossing at a time, the new direction at +1 and each copied edge
+    closing its mixed face."""
+    eps = {}
+    for k in range(cube.n):
+        for alpha in range(1 << k):
+            eps[alpha, k] = 1
+            for c in range(k):
+                if not alpha >> c & 1:
+                    eps[alpha | 1 << k, c] = -classify_face(cube, alpha, c, k).sigma * eps[alpha, c]
+    return eps
+
+
 def test_assembly_validates_many_diagrams():
     for code in (TREFOIL, FIG8, HOPF_POS, POKE):
         cube = build_cube(parse_pd(code))
         assemble_complex(cube)
-        doubled = cube_module._doubled_signs(cube, lambda *face: classify_face(cube, *face).sigma)
-        assemble_complex(cube, doubled)
+        assemble_complex(cube, doubled_signs(cube))
 
 
 def streaming_squares_reference(cube, eps):

@@ -42,8 +42,19 @@ def verify_sign_assignment(cube, eps):
 
 
 def doubled_signs(cube):
-    """The unchecked doubling candidate, before the gauge fix."""
-    return cube_module._doubled_signs(cube, lambda *face: classify_face(cube, *face).sigma)
+    """Signs built by doubling the cube one crossing at a time, unchecked.
+
+    Edges along the new direction from the old half all get +1; each
+    copied edge picks up the sign that closes its mixed face.
+    """
+    eps = {}
+    for k in range(cube.n):
+        for alpha in range(1 << k):
+            eps[alpha, k] = 1
+            for c in range(k):
+                if not alpha >> c & 1:
+                    eps[alpha | 1 << k, c] = -classify_face(cube, alpha, c, k).sigma * eps[alpha, c]
+    return eps
 
 
 def test_edge_kinds_follow_circle_counts():
@@ -337,6 +348,25 @@ def test_solve_matches_gf2_reference_on_corpus(theory):
         assert solve_sign_assignment(cube) == gf2_reference(cube), name
 
 
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_canonical_signs_read_plus_one_along_each_highest_crossing(theory):
+    # The tree that fixes the gauge: every vertex but the top, along its
+    # highest unresolved crossing.
+    for name, diagram in named_diagrams(6):
+        cube = build_cube(diagram, theory)
+        eps = solve_sign_assignment(cube)
+        full = (1 << cube.n) - 1
+        for alpha in range(full):
+            assert eps[alpha, (full ^ alpha).bit_length() - 1] == 1, (name, alpha)
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_extend_with_no_pins_is_the_canonical_solve(theory):
+    for name, diagram in named_diagrams(6):
+        cube = build_cube(diagram, theory)
+        assert extend_sign_assignment(cube, {}) == solve_sign_assignment(cube), name
+
+
 _braid_letters = st.sampled_from([1, -1, 2, -2])
 _small_diagrams = st.one_of(
     st.lists(_braid_letters, min_size=1, max_size=6).map(lambda w: braid_closure(w, 3)),
@@ -423,7 +453,12 @@ def test_one_flipped_face_is_refused(monkeypatch, vanishing):
         return fc
 
     monkeypatch.setattr(cube_module, "classify_face", flipped)
-    with pytest.raises(ValueError):
-        solve_sign_assignment(cube)
-    with pytest.raises(ValueError):
-        gf2_reference(cube)
+    # A fresh cube each: a cube caches the sign of each face key.
+    for solve in (
+        solve_sign_assignment,
+        lambda cb: extend_sign_assignment(cb, {}),
+        lambda cb: arrow_flipped_signs(cb, []),
+        gf2_reference,
+    ):
+        with pytest.raises(ValueError):
+            solve(build_cube(kinked_poke()))

@@ -15,10 +15,12 @@ from oddkh.cube import build_cube
 from oddkh.linalg import IntMatrix
 from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd
 from oddkh.oracles import (
+    BRUTE_FORCE_LIMIT,
     LaurentPolynomial,
     brute_force_homology,
     even_khovanov_mod2,
     kauffman_bracket,
+    largest_block,
 )
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -124,7 +126,7 @@ def test_brute_force_size_guard():
 def test_brute_force_matches_homology():
     for code in (HOPF_POS, HOPF_NEG, POKE, TREFOIL, FIG8):
         cx = assemble_complex(build_cube(parse_pd(code)))
-        if sum(cx.dim(h) for h in cx.degrees()) > 64:
+        if largest_block(cx) > BRUTE_FORCE_LIMIT:
             continue
         assert brute_force_homology(cx) == homology(cx)
 
