@@ -71,6 +71,34 @@ def _check_cap(diagram) -> None:
         raise ValueError(f"{size} exceeds the cap of {cap} (raise ODDKH_MAX_CROSSINGS to override)")
 
 
+def _growth(event) -> int:
+    """An upper bound on what one event adds to crossings plus free circles.
+
+    Read off ``attach_band`` and ``smooth_crossings``: a saddle on one
+    arc may split off a free circle, and an undone curl or bigon may
+    leave free circles where its crossings were.
+    """
+    if event.kind in ("r1", "r2"):
+        return (1 if event.kind == "r1" else 2) if event.direction == "do" else 0
+    if event.kind == "saddle":
+        return int(event.arcs[0] == event.arcs[1])
+    return {"birth": 1, "death": -1}.get(event.kind, 0)
+
+
+def _check_movie_cap(initial, events) -> None:
+    """Refuse a movie if any diagram along it may exceed the cap."""
+    _check_cap(initial)
+    cap = _crossing_cap()
+    size = len(initial.crossings) + len(initial.free_arcs)
+    for idx, event in enumerate(events):
+        size += _growth(event)
+        if size > cap:
+            raise ValueError(
+                f"event {idx} ({event.kind}) may reach {size} crossings plus free circles,"
+                f" above the cap of {cap} (raise ODDKH_MAX_CROSSINGS to override)"
+            )
+
+
 def _load_diagram(path: str):
     data = _read_json(path)
     if isinstance(data, dict) and "name" in data:
@@ -135,7 +163,7 @@ def cmd_movie(args) -> int:
     try:
         data = _read_json(args.script)
         initial, events = script_from_dict(data)
-        _check_cap(initial)
+        _check_movie_cap(initial, events)
     except (ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

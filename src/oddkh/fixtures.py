@@ -11,7 +11,7 @@ silently.  Names follow the standard tables up to mirror image.
 
 from __future__ import annotations
 
-from .linkdiag import LinkDiagram, add_free_circle, insert_kink, mirror, parse_pd
+from .linkdiag import LinkDiagram, _find, add_free_circle, insert_kink, mirror, parse_pd
 
 __all__ = [
     "braid_closure",
@@ -92,24 +92,16 @@ def _weave(word, start_arcs, n_positions):
 
 def _close(raw, joins):
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        r = x
-        while parent.setdefault(r, r) != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
     loops = 0
     for a, b in joins:
-        if find(a) == find(b):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
             loops += 1
         else:
-            parent[find(a)] = find(b)
+            parent[ra] = rb
     for rays, _ in raw:
         for ray in rays:
-            rays[ray] = find(rays[ray])
+            rays[ray] = _find(parent, rays[ray])
     return loops
 
 

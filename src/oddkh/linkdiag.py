@@ -311,6 +311,20 @@ def parse_pd(data, signs=None, free_circles=0) -> LinkDiagram:
     return diagram
 
 
+def _find(parent: dict, x):
+    """The root of ``x`` in a union-find forest; a missing key is its own root.
+
+    Each caller links roots by its own rule.  The path walked is
+    pointed at the root.
+    """
+    root = x
+    while parent.get(root, root) != root:
+        root = parent[root]
+    while x != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
 def _check_planar(diagram: LinkDiagram) -> None:
     """Refuse a code whose slot order does not embed in the sphere.
 
@@ -321,19 +335,12 @@ def _check_planar(diagram: LinkDiagram) -> None:
     over all pieces decide it.
     """
     n = diagram.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent: dict[int, int] = {}
     other = {}
     for a, b in diagram.occurrences.values():
         other[a], other[b] = b, a
-        parent[find(a[0])] = find(b[0])
-    pieces = len({find(c) for c in range(n)})
+        parent[_find(parent, a[0])] = _find(parent, b[0])
+    pieces = len({_find(parent, c) for c in range(n)})
     faces = 0
     seen = set()
     for start in other:
@@ -614,31 +621,18 @@ def smooth_crossings(diagram: LinkDiagram, choices: dict[int, int]) -> LinkDiagr
             raise ValueError(f"crossing {c} out of range")
         if bit not in (0, 1):
             raise ValueError("smoothing bit must be 0 or 1")
-    # Union-find over arc labels; welds may chain through several sites.
+    # Union-find over arc labels; welds may chain through several sites,
+    # and each weld keeps the smaller label.
     parent: dict[int, int] = {}
-
-    def find(a):
-        while parent.get(a, a) != a:
-            parent[a] = parent.get(parent[a], parent[a])
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # Keep the smaller label.
-            lo, hi = min(ra, rb), max(ra, rb)
-            parent[hi] = lo
-
     closed = []
     for c, bit in choices.items():
         cr = diagram.crossings[c]
         for s in (0, 2) if bit == 0 else (0, 1):
-            t = s ^ _SMOOTHING[bit]
-            if find(cr[s]) == find(cr[t]):
-                closed.append(find(cr[s]))
+            ra, rb = _find(parent, cr[s]), _find(parent, cr[s ^ _SMOOTHING[bit]])
+            if ra == rb:
+                closed.append(ra)
             else:
-                union(cr[s], cr[t])
+                parent[max(ra, rb)] = min(ra, rb)
 
     rows = []
     signs = []
@@ -649,11 +643,11 @@ def smooth_crossings(diagram: LinkDiagram, choices: dict[int, int]) -> LinkDiagr
         if ci in diagram.formal:
             formal.add(len(rows))
         signs.append(diagram.signs[ci])
-        rows.append(tuple(find(a) for a in cr))
+        rows.append(tuple(_find(parent, a) for a in cr))
     used = {a for r in rows for a in r}
     free = set(diagram.free_arcs)
     for a in closed:
-        r = find(a)
+        r = _find(parent, a)
         if r not in used:
             free.add(r)
     # A welded chain with no remaining occurrences and no closure stays a
@@ -690,10 +684,14 @@ def delete_free_circle(diagram: LinkDiagram, arc: int) -> LinkDiagram:
 def cable(diagram: LinkDiagram, strands: int, framing=None) -> LinkDiagram:
     """Replace every component by ``strands`` parallel copies.
 
-    Copies are numbered left to right facing along the flow.  With
-    ``framing`` None the blackboard framing is used (no twist regions);
-    an int or a per-component list inserts full twists to correct each
-    component from its self-writhe to the requested framing.
+    Copies (lanes) are numbered left to right facing along the flow,
+    each crossing becomes a grid of strands x strands crossings, and
+    arc labels are numbered by first use.  The framing of a component
+    is the linking number of two of its lanes.  With ``framing`` None
+    it is the blackboard framing, the component's self-writhe; an int
+    or a per-component list asks for other framings, and the missing
+    full twists are spliced in at ``_cut_arcs`` cuts of the lanes of
+    the component's smallest arc.
     """
     if strands < 1:
         raise ValueError("strands must be positive")
@@ -702,7 +700,7 @@ def cable(diagram: LinkDiagram, strands: int, framing=None) -> LinkDiagram:
     n = strands
     comps = diagram.components
     if framing is None:
-        targets = None
+        targets = [diagram.self_writhe(comp) for comp in comps]
     elif isinstance(framing, int):
         targets = [framing] * len(comps)
     else:
@@ -710,108 +708,60 @@ def cable(diagram: LinkDiagram, strands: int, framing=None) -> LinkDiagram:
         if len(targets) != len(comps):
             raise ValueError("framing list length must match component count")
 
-    sym_rows: list[tuple] = []
-    sym_signs: list[int] = []
+    num: dict[tuple, int] = {}
 
-    def lane(arc, i):
-        return ("lane", arc, i)
+    def label(*key):
+        return num.setdefault(key, len(num) + 1)
 
-    for ci, cr in enumerate(diagram.crossings):
-        a, b, c_, d = cr
+    rows, signs = [], []
+    for ci, (a, b, c, d) in enumerate(diagram.crossings):
         sg = diagram.signs[ci]
-        # useg(i, j): segment of under-lane i after meeting over-lane at
-        # grid column j; oseg(i, j): segment of over-lane j after meeting
-        # under-lane i.
-        def useg(i, j):
-            return ("useg", ci, i, j)
-
-        def oseg(i, j):
-            return ("oseg", ci, i, j)
-
-        if sg == 1:
-            # Under lane i sweeps over-lanes j = n..1; over lane j sweeps
-            # under lanes i = 1..n.
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    u_in = lane(a, i) if j == n else useg(i, j)
-                    u_out = lane(c_, i) if j == 1 else useg(i, j - 1)
-                    o_in = lane(d, j) if i == 1 else oseg(i - 1, j)
-                    o_out = lane(b, j) if i == n else oseg(i, j)
-                    sym_rows.append((u_in, o_out, u_out, o_in))
-                    sym_signs.append(1)
-        else:
-            # Under lane i sweeps j = 1..n; over lane j sweeps i = n..1.
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    u_in = lane(a, i) if j == 1 else useg(i, j - 1)
-                    u_out = lane(c_, i) if j == n else useg(i, j)
-                    o_in = lane(b, j) if i == n else oseg(i, j)
-                    o_out = lane(d, j) if i == 1 else oseg(i - 1, j)
-                    sym_rows.append((u_in, o_in, u_out, o_out))
-                    sym_signs.append(-1)
-
-    sym_free: list[tuple] = []
-    for arc in diagram.free_arcs:
+        # Grid cell (i, j) is where under lane i meets over lane j.  The
+        # under lanes run between a and c (column 1 lies at c on a
+        # positive crossing, at a on a negative one), the over lanes run
+        # from row 1 at d to row n at b; ("u", ci, i, j) is the under
+        # segment between columns j and j + 1, ("o", ci, i, j) the over
+        # segment between rows i and i + 1.
+        first, last = (c, a) if sg == 1 else (a, c)
         for i in range(1, n + 1):
-            sym_free.append(lane(arc, i))
+            for j in range(1, n + 1):
+                left = label("lane", first, i) if j == 1 else label("u", ci, i, j - 1)
+                right = label("lane", last, i) if j == n else label("u", ci, i, j)
+                above = label("lane", d, j) if i == 1 else label("o", ci, i - 1, j)
+                below = label("lane", b, j) if i == n else label("o", ci, i, j)
+                rows.append((right, below, left, above) if sg == 1 else (left, below, right, above))
+                signs.append(sg)
+    free = [label("lane", arc, i) for arc in diagram.free_arcs for i in range(1, n + 1)]
+    cabled = LinkDiagram(rows, free_arcs=free, signs=signs)
 
-    if targets is not None:
-        for k, comp in enumerate(comps):
-            t = targets[k] - diagram.self_writhe(comp)
-            if t == 0 or n < 2:
-                continue
-            a0 = min(comp)
-            starts = [lane(a0, i) for i in range(1, n + 1)]
-            if a0 in diagram.free_arcs:
-                ends = list(starts)
-                for s in starts:
-                    sym_free.remove(s)
-            else:
-                # Cut each lane of a0 at its head side.
-                ends = [("twend", k, i) for i in range(1, n + 1)]
-                for i in range(1, n + 1):
-                    old, new = starts[i - 1], ends[i - 1]
-                    # The head occurrence is wherever the lane arc feeds a
-                    # grid column, found by direct substitution of one of
-                    # its two occurrences: replace the occurrence playing
-                    # the "incoming" role.
-                    done = False
-                    for ri, row in enumerate(sym_rows):
-                        sg = sym_signs[ri]
-                        in_slots = (0, 3) if sg == 1 else (0, 1)
-                        for s in in_slots:
-                            if row[s] == old and not done:
-                                r = list(row)
-                                r[s] = new
-                                sym_rows[ri] = tuple(r)
-                                done = True
-                    if not done:
-                        raise AssertionError("lane head not found")
-            word = []
-            if t > 0:
-                for _ in range(n * t):
-                    word.extend((kk, 1) for kk in range(1, n))
-            else:
-                for _ in range(n * (-t)):
-                    word.extend((kk, -1) for kk in range(n - 1, 0, -1))
-            cur = list(starts)
-            for step, (kk, sg) in enumerate(word):
-                lo = ("tw", k, step, "l")
-                ro = ("tw", k, step, "r")
-                left, right = cur[kk - 1], cur[kk]
-                if sg == 1:
-                    sym_rows.append((right, lo, ro, left))
+    for comp, target in zip(comps, targets):
+        t = target - diagram.self_writhe(comp)
+        # n |t| full twists: the word (s_1 ... s_{n-1})^{n t}, or its
+        # inverse, on the lanes in left to right order.
+        if t > 0:
+            letters = [(k, 1) for _ in range(n * t) for k in range(1, n)]
+        else:
+            letters = [(k, -1) for _ in range(-n * t) for k in range(n - 1, 0, -1)]
+        if not letters:
+            continue
+        lanes = [num[("lane", min(comp), i)] for i in range(1, n + 1)]
+        rows, free, ends = _cut_arcs(cabled, lanes, cabled.max_arc())
+        top = max(cabled.max_arc(), *(head for _, head in ends))
+        # A full twist returns every lane to its place, so the last
+        # letter at a position leaves it on that lane's cut head.
+        final = {p: step for step, (k, _) in enumerate(letters) for p in (k - 1, k)}
+        cur = [tail for tail, _ in ends]
+        twist = []
+        for step, (k, sg) in enumerate(letters):
+            left, right = cur[k - 1], cur[k]
+            for p in (k - 1, k):
+                if final[p] == step:
+                    cur[p] = ends[p][1]
                 else:
-                    sym_rows.append((left, right, lo, ro))
-                sym_signs.append(sg)
-                # Strands swap positions; the left strand's continuation is
-                # ro (it crossed to the right) and vice versa.
-                cur[kk - 1], cur[kk] = ro, lo
-            sub = dict(zip(cur, ends))
-            sym_rows = [tuple(sub.get(x, x) for x in row) for row in sym_rows]
-
-    labels = sorted(set(x for row in sym_rows for x in row) | set(sym_free))
-    num = {lab: i + 1 for i, lab in enumerate(labels)}
-    rows = [tuple(num[x] for x in row) for row in sym_rows]
-    free = tuple(sorted(num[x] for x in sym_free))
-    return LinkDiagram(rows, free_arcs=free, signs=tuple(sym_signs))
+                    top += 1
+                    cur[p] = top
+            # The two strands trade places; the one from the right passes
+            # under on a positive letter, over on a negative one.
+            twist.append((right, cur[k], cur[k - 1], left) if sg == 1 else (left, right, cur[k], cur[k - 1]))
+        cabled = LinkDiagram(rows + twist, free_arcs=free, signs=cabled.signs + tuple(sg for _, sg in letters))
+    return cabled

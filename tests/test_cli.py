@@ -14,7 +14,15 @@ from oddkh import cobordism as cobordism_module
 from oddkh import cube as cube_module
 from oddkh import verify as verify_module
 from oddkh.cli import main
-from oddkh.cobordism import evaluate_movie, r2_event, saddle_event, script_to_dict
+from oddkh.cobordism import (
+    birth_event,
+    death_event,
+    evaluate_movie,
+    r1_event,
+    r2_event,
+    saddle_event,
+    script_to_dict,
+)
 from oddkh.complexes import assemble_complex, homology, reduce_coefficients
 from oddkh.cube import build_cube
 from oddkh.fixtures import figure_eight, left_trefoil, prime_knot, rational_knot, unlink
@@ -334,6 +342,35 @@ def test_crossing_cap_counts_free_circles(tmp_path, capsys, monkeypatch, command
     assert main([command, str(path)]) == code
     if code:
         assert f"0 crossings plus {free} free circles exceeds the cap of 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "initial, events, cap, code",
+    [
+        (unlink(12), [birth_event()], None, 1),
+        (unlink(11), [birth_event(), death_event(12), birth_event()], None, 0),
+        (unlink(12), [saddle_event(1, 1)], None, 1),
+        (unlink(12), [saddle_event(1, 2)], None, 0),
+        (left_trefoil(), [r2_event(1, 4)], "4", 1),
+        (left_trefoil(), [r1_event(1)], "4", 0),
+    ],
+    ids=["birth", "birth-death-birth", "self-saddle", "merging-saddle", "r2-do", "r1-do"],
+)
+def test_movie_cap_covers_every_intermediate_diagram(tmp_path, capsys, monkeypatch, initial, events, cap, code):
+    # The cap is checked on an upper bound for each diagram along the
+    # movie before any map is built, not only on the initial one.
+    if cap is None:
+        monkeypatch.delenv("ODDKH_MAX_CROSSINGS", raising=False)
+    else:
+        monkeypatch.setenv("ODDKH_MAX_CROSSINGS", cap)
+    path = tmp_path / "movie.json"
+    path.write_text(json.dumps(script_to_dict(initial, events)))
+    assert main(["movie", str(path)]) == code
+    if code:
+        err = capsys.readouterr().err
+        last = len(events) - 1
+        assert f"event {last} ({events[last].kind}) may reach" in err
+        assert f"above the cap of {cap or 12}" in err
 
 
 def test_verify_max_crossings_overrides_the_environment(capsys, monkeypatch):

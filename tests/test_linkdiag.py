@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oddkh.linkdiag import (
     LinkDiagram,
+    _check_planar,
     add_free_circle,
     attach_band,
     cable,
@@ -404,3 +405,80 @@ def test_cable_two_component_framing_list():
     # Self-writhe of each Hopf component is 0, so one twist block each.
     assert c.n == 8 + 2 + 2
     assert len(c.components) == 4
+
+
+def linking_number(d, x, y):
+    """Half the signed count of crossings between components x and y."""
+    total = sum(s for (a, b, _, _), s in zip(d.crossings, d.signs) if {a, b} & x and {a, b} & y)
+    assert total % 2 == 0
+    return total // 2
+
+
+def lane_owners(host, cabled, n, targets):
+    """The host component of each component of the cable, by index.
+
+    Read off the crossing order: the grid of n^2 crossings of host
+    crossing g comes g-th, with its under lanes on the host's under
+    strand and its over lanes on its over strand; then come the twists
+    of each component in turn, n(n-1)|t| crossings each.  A lane that
+    crosses nothing belongs to an untwisted free circle, and those are
+    interchangeable.
+    """
+    host_of = {a: k for k, comp in enumerate(host.components) for a in comp}
+    comp_of = {a: i for i, comp in enumerate(cabled.components) for a in comp}
+    owner = {}
+
+    def own(arc, k):
+        assert owner.setdefault(comp_of[arc], k) == k
+
+    for g, (u, o, _, _) in enumerate(cabled.crossings[: n * n * host.n]):
+        hu, ho = host.crossings[g // (n * n)][:2]
+        own(u, host_of[hu])
+        own(o, host_of[ho])
+    g = n * n * host.n
+    for k, comp in enumerate(host.components):
+        size = n * (n - 1) * abs(targets[k] - host.self_writhe(comp))
+        for u, o, _, _ in cabled.crossings[g : g + size]:
+            own(u, k)
+            own(o, k)
+        g += size
+    assert g == cabled.n
+    idle = [k for k, comp in enumerate(host.components) if comp <= set(host.free_arcs) and targets[k] == 0]
+    untouched = [i for i in range(len(cabled.components)) if i not in owner]
+    assert len(untouched) == n * len(idle)
+    owner.update(zip(untouched, [k for k in idle for _ in range(n)]))
+    return [owner[i] for i in range(len(cabled.components))]
+
+
+def framings(d):
+    """None, two ints and, on links, two per-component lists."""
+    sw = [d.self_writhe(comp) for comp in d.components]
+    out = [None, d.writhe - 1, d.writhe + 2]
+    if len(sw) > 1:
+        out += [[s + (-1) ** k * (k + 1) for k, s in enumerate(sw)], [s if k else s - 2 for k, s in enumerate(sw)]]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name, d", named_diagrams(4), ids=[name for name, _ in named_diagrams(4)])
+def test_cable_lanes_link_as_the_framing_asks(name, d, n):
+    comps = d.components
+    for framing in framings(d):
+        if framing is None:
+            targets = [d.self_writhe(comp) for comp in comps]
+        elif isinstance(framing, int):
+            targets = [framing] * len(comps)
+        else:
+            targets = framing
+        c = cable(d, n, framing)
+        _check_planar(c)
+        twists = sum(abs(t - d.self_writhe(comp)) for t, comp in zip(targets, comps))
+        assert c.n == n * n * d.n + n * (n - 1) * twists
+        assert len(c.components) == n * len(comps)
+        owner = lane_owners(d, c, n, targets)
+        assert sorted(owner) == [k for k in range(len(comps)) for _ in range(n)]
+        for i, x in enumerate(c.components):
+            for j in range(i):
+                k, l = owner[i], owner[j]
+                want = targets[k] if k == l else linking_number(d, comps[k], comps[l])
+                assert linking_number(c, x, c.components[j]) == want, (framing, i, j)
