@@ -768,24 +768,34 @@ def event_to_dict(event: MovieEvent) -> dict:
     return out
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer, as ``parse_pd`` takes arc labels: no float, bool or string."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def event_from_dict(data: dict) -> MovieEvent:
+    if not isinstance(data, dict):
+        raise ValueError(f"an event must be a JSON object, got {data!r}")
     kind = data.get("type")
     if kind == "birth":
         return birth_event()
     if kind == "death":
-        return death_event(int(data["arc"]))
+        return death_event(_json_int(data["arc"], "arc"))
     if kind == "saddle":
         a, b = data["arcs"]
-        return saddle_event(int(a), int(b))
+        return saddle_event(_json_int(a, "arc"), _json_int(b, "arc"))
     if kind == "dot":
-        return dot_event(int(data["arc"]))
+        return dot_event(_json_int(data["arc"], "arc"))
     if kind == "r1":
-        return r1_event(
-            int(data["arc"]), int(data.get("sign", 1)), data.get("direction", "do"), data.get("side", "right")
-        )
+        sign = _json_int(data.get("sign", 1), "sign")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        return r1_event(_json_int(data["arc"], "arc"), sign, data.get("direction", "do"), data.get("side", "right"))
     if kind == "r2":
         a, b = data["arcs"]
-        return r2_event(int(a), int(b), data.get("direction", "do"))
+        return r2_event(_json_int(a, "arc"), _json_int(b, "arc"), data.get("direction", "do"))
     raise ValueError(f"unknown event type {kind!r}")
 
 
@@ -801,5 +811,8 @@ def script_from_dict(data: dict):
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)}")
     initial = parse_pd(data["initial"])
-    events = [event_from_dict(e) for e in data.get("events", [])]
+    events = data.get("events", [])
+    if not isinstance(events, list):
+        raise ValueError(f"events must be a JSON list, got {events!r}")
+    events = [event_from_dict(e) for e in events]
     return initial, events

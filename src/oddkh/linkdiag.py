@@ -5,19 +5,26 @@ from the incoming understrand, so the understrand runs from slot 0 to
 slot 2 and the overstrand occupies slots 1 and 3.  A crossing is
 positive exactly when the overstrand enters at slot 3.
 
-Orientations are not part of the input; they are reconstructed from the
-understrand constraints, and crossing signs fall out of that.  Diagrams
-may carry extra "formal" crossings (band sites produced by surgery)
-which have no over/under data and are skipped by the orientation pass.
+A diagram holds its incidence once, in flat slot tables with slot s of
+crossing c at index 4c + s: the arc at each slot and the slot at that
+arc's other end.  Orientations are not part of the input; a walk along
+each strand over those tables (straight through a crossing is slot
+``head ^ 2``) reconstructs them from the understrand constraints, records
+the slot each arc's flow leaves from (``_arc_start``), and crossing
+signs fall out of that.  Diagrams may carry extra "formal" crossings
+(band sites produced by surgery) which have no over/under data and end
+the strands that reach them.  Planarity is checked and arcs are cut on
+the same tables.
 
-A smoothing is walked over flat slot tables that each diagram builds
-once, slot s of crossing c at index 4c + s.  A cube keeps one
+A smoothing is walked over the slot tables too.  A cube keeps one
 ``Resolution`` per vertex, so a resolution stores only its circle keys
 and two byte tables, the circle of every slot and of every arc, and
 walks a circle's arcs and transits again when they are asked for.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 __all__ = [
     "LinkDiagram",
@@ -55,6 +62,16 @@ class LinkDiagram:
         Indices of crossings that are band sites rather than genuine
         crossings; these get sign 0 and impose no orientation
         constraints.
+
+    The incidence is held once, in flat tables with slot s of crossing
+    c at 4c + s: ``_arc_pos`` maps an arc to its position in ``arcs``,
+    ``_slot_arc`` gives the position of the arc at each slot and
+    ``_slot_end`` the slot at that arc's other end.  ``_arc_start``
+    gives, for each arc in ``arcs`` order, the slot its flow leaves
+    from, as the strand walk of ``_orient`` finds it, and -1 for a free
+    circle.  An arc with no flow direction
+    keeps its first slot there and is listed in ``_undirected``, with
+    the free circles.
     """
 
     __slots__ = (
@@ -64,8 +81,6 @@ class LinkDiagram:
         "signs",
         "n",
         "arcs",
-        "occurrences",
-        "arc_dir",
         "components",
         "n_plus",
         "n_minus",
@@ -74,6 +89,7 @@ class LinkDiagram:
         "_slot_arc",
         "_slot_end",
         "_arc_start",
+        "_undirected",
     )
 
     def __init__(self, crossings, free_arcs=(), signs=None, formal=()):
@@ -88,20 +104,28 @@ class LinkDiagram:
             if not (0 <= i < self.n):
                 raise ValueError(f"formal index {i} out of range")
 
-        occurrences: dict[int, list[tuple[int, int]]] = {}
-        for ci, cr in enumerate(self.crossings):
-            for s, arc in enumerate(cr):
-                occurrences.setdefault(arc, []).append((ci, s))
-        for arc, occ in occurrences.items():
-            if len(occ) != 2:
-                raise ValueError(f"arc {arc} appears {len(occ)} times, expected 2")
+        count = Counter(a for c in self.crossings for a in c)
+        for arc, k in count.items():
+            if k != 2:
+                raise ValueError(f"arc {arc} appears {k} times, expected 2")
         for arc in self.free_arcs:
-            if arc in occurrences:
+            if arc in count:
                 raise ValueError(f"free arc {arc} also appears at a crossing")
         if len(set(self.free_arcs)) != len(self.free_arcs):
             raise ValueError("duplicate free arc label")
-        self.occurrences = {a: tuple(sorted(o)) for a, o in occurrences.items()}
-        self.arcs = tuple(sorted(occurrences)) + self.free_arcs
+        self.arcs = tuple(sorted(count)) + self.free_arcs
+        self._arc_pos = pos = {a: i for i, a in enumerate(self.arcs)}
+        self._slot_arc = tuple(pos[a] for c in self.crossings for a in c)
+        # Each arc's first slot; the second one pairs the two ends.
+        first = [-1] * len(self.arcs)
+        end = [0] * (4 * self.n)
+        for t, i in enumerate(self._slot_arc):
+            u = first[i]
+            if u < 0:
+                first[i] = t
+            else:
+                end[t], end[u] = u, t
+        self._slot_end = tuple(end)
 
         given = None
         if signs is not None:
@@ -115,7 +139,7 @@ class LinkDiagram:
                 if not want_formal and s not in (1, -1):
                     raise ValueError(f"crossing {i} sign must be +1 or -1")
 
-        self.arc_dir, inferred, self.components = self._orient(given)
+        inferred = self._orient(given, first)
         if given is not None:
             for i in range(self.n):
                 if inferred[i] is not None and inferred[i] != given[i]:
@@ -131,128 +155,69 @@ class LinkDiagram:
         self.n_plus = sum(1 for s in self.signs if s == 1)
         self.n_minus = sum(1 for s in self.signs if s == -1)
         self.writhe = self.n_plus - self.n_minus
-        self._slot_tables()
-
-    def _slot_tables(self):
-        """Flat tables for walking smoothings; slot s of crossing c is 4c + s.
-
-        ``_arc_pos`` maps an arc to its position in ``arcs``;
-        ``_slot_arc`` gives the position of the arc at each slot and
-        ``_slot_end`` the slot at that arc's other end; ``_arc_start``
-        gives, for each arc in ``arcs`` order, the slot its walk leaves
-        from: its tail when it has a flow direction, else its first
-        occurrence, and -1 for a free circle.
-        """
-        self._arc_pos = {a: i for i, a in enumerate(self.arcs)}
-        slot_arc = [0] * (4 * self.n)
-        slot_end = [0] * (4 * self.n)
-        starts = [-1] * len(self.arcs)
-        for arc, occ in self.occurrences.items():
-            i = self._arc_pos[arc]
-            a, b = (4 * c + s for c, s in occ)
-            slot_arc[a] = slot_arc[b] = i
-            slot_end[a], slot_end[b] = b, a
-            d = self.arc_dir[arc]
-            c, s = d[0] if d is not None else occ[0]
-            starts[i] = 4 * c + s
-        self._slot_arc = tuple(slot_arc)
-        self._slot_end = tuple(slot_end)
-        self._arc_start = tuple(starts)
 
     def max_arc(self) -> int:
         return max(self.arcs) if self.arcs else 0
 
-    def _orient(self, given):
-        """Walk strand components, fix directions, read off signs."""
-        visited: set[int] = set()
-        arc_dir: dict[int, tuple | None] = {}
-        sign: list[int | None] = [0 if i in self.formal else None for i in range(self.n)]
-        components: list[frozenset[int]] = []
+    def _orient(self, given, first):
+        """Walk each strand over the slot tables, fix its flow, read off signs.
 
-        def other_occ(arc, occ):
-            a, b = self.occurrences[arc]
-            return b if occ == a else a
+        Straight through a real crossing is ``head ^ 2``; a band site ends
+        an open path.  Open paths are walked first, from the loose ends of
+        the band sites, then each closed strand from the first slot of its
+        smallest arc.  A strand's flow is the walk direction (+1) or its
+        reverse (-1): passing under at slot 0 or 2 votes for it, else a
+        declared sign at an overpass pins it, else a closed strand flows
+        the way it was walked and an open path stays undirected.  Sets
+        ``_arc_start``, ``_undirected`` and ``components``, and returns
+        the sign of every crossing, None where no flow fixes it.
+        """
+        end, slot_arc, formal = self._slot_end, self._slot_arc, self.formal
+        starts = first[:]
+        seen = bytearray(len(self.arcs))
+        undirected = set(range(len(self.arcs) - len(self.free_arcs), len(self.arcs)))
+        sign: list[int | None] = [0 if i in formal else None for i in range(self.n)]
+        components = [frozenset([arc]) for arc in self.free_arcs]
 
-        def walk(start, closed):
-            # Arc steps (arc, from_occ, to_occ); passage records (crossing,
-            # entered_slot) at every real crossing the walk runs through.
-            steps = []
-            passages = []
-            cur = start
-            while True:
-                arc = self.crossings[cur[0]][cur[1]]
-                visited.add(arc)
-                nxt_occ = other_occ(arc, cur)
-                steps.append((arc, cur, nxt_occ))
-                ci = nxt_occ[0]
-                if ci in self.formal:
-                    return steps, passages
-                passages.append((ci, nxt_occ[1]))
-                out = (ci, nxt_occ[1] ^ 2)
-                if closed and out == start:
-                    return steps, passages
-                cur = out
-
-        def settle(steps, passages, closed):
-            votes = set()
-            for ci, s in passages:
-                if s == 0:
-                    votes.add(1)
-                elif s == 2:
-                    votes.add(-1)
+        loose = [4 * c + s for c in sorted(formal) for s in range(4)]
+        for start in loose + first[: len(first) - len(self.free_arcs)]:
+            if seen[slot_arc[start]]:
+                continue
+            tails, overs, votes, pins = [], [], set(), set()
+            tail, closed = start, False
+            while not closed:
+                seen[slot_arc[tail]] = 1
+                tails.append(tail)
+                head = end[tail]
+                c, s = head >> 2, head & 3
+                if c in formal:
+                    break
+                if s & 1:
+                    overs.append(head)
+                    if given is not None:
+                        pins.add(given[c] * (s - 2))
+                else:
+                    votes.add(1 - s)
+                tail = head ^ 2
+                closed = tail == start
             if len(votes) > 1:
                 raise ValueError("inconsistent understrand directions")
-            direction = votes.pop() if votes else None
-            if direction is None and given is not None:
-                pins = set()
-                for ci, s in passages:
-                    if s in (1, 3) and given[ci] in (1, -1):
-                        flow_in = 3 if given[ci] == 1 else 1
-                        pins.add(1 if s == flow_in else -1)
-                if len(pins) > 1:
-                    raise ValueError("declared signs conflict along a strand")
-                if pins:
-                    direction = pins.pop()
-            if direction is None and closed:
-                # Component never passes under anything: orient it so its
-                # smallest arc flows out of its first listed occurrence.
-                a0 = min(a for a, _, _ in steps)
-                for a, frm, to in steps:
-                    if a == a0:
-                        direction = 1 if frm == min(frm, to) else -1
-                        break
-            for a, frm, to in steps:
-                if direction == 1:
-                    arc_dir[a] = (frm, to)
-                elif direction == -1:
-                    arc_dir[a] = (to, frm)
-                else:
-                    arc_dir[a] = None
-            for ci, s in passages:
-                if s in (1, 3) and direction is not None:
-                    flow_in = s if direction == 1 else s ^ 2
-                    sign[ci] = 1 if flow_in == 3 else -1
-            components.append(frozenset(a for a, _, _ in steps))
+            if not votes and len(pins) > 1:
+                raise ValueError("declared signs conflict along a strand")
+            direction = (votes or pins or {int(closed)}).pop()
+            if direction:
+                for t in tails:
+                    starts[slot_arc[t]] = t if direction == 1 else end[t]
+                for head in overs:
+                    sign[head >> 2] = direction * ((head & 3) - 2)
+            else:
+                undirected.update(slot_arc[t] for t in tails)
+            components.append(frozenset(self.arcs[slot_arc[t]] for t in tails))
 
-        # Open paths first: they begin at the loose ends of band sites.
-        for ci in sorted(self.formal):
-            for s in range(4):
-                arc = self.crossings[ci][s]
-                if arc in visited:
-                    continue
-                steps, passages = walk((ci, s), closed=False)
-                settle(steps, passages, closed=False)
-        for arc in self.arcs:
-            if arc in visited or arc in self.free_arcs:
-                continue
-            steps, passages = walk(self.occurrences[arc][0], closed=True)
-            settle(steps, passages, closed=True)
-        for arc in self.free_arcs:
-            arc_dir[arc] = None
-            components.append(frozenset([arc]))
-
-        components.sort(key=min)
-        return arc_dir, sign, tuple(components)
+        self._arc_start = tuple(starts)
+        self._undirected = frozenset(undirected)
+        self.components = tuple(sorted(components, key=min))
+        return sign
 
     def self_writhe(self, component: frozenset[int]) -> int:
         """Signed count of the crossings a component makes with itself."""
@@ -288,7 +253,8 @@ def parse_pd(data, signs=None, free_circles=0) -> LinkDiagram:
     Accepts either a list of crossing 4-tuples or a dict with keys
     ``pd`` and optionally ``signs`` and ``free_circles``.  Free circles
     get fresh arc labels above everything used by the crossings.  Arc
-    labels and ``free_circles`` must be ints; a float or bool is refused.
+    labels, signs and ``free_circles`` must be ints; a float or bool is
+    refused.
     """
     if isinstance(data, dict):
         unknown = set(data) - {"pd", "signs", "free_circles"}
@@ -302,6 +268,8 @@ def parse_pd(data, signs=None, free_circles=0) -> LinkDiagram:
     pd = [tuple(row) for row in pd]
     if not all(type(a) is int for row in pd for a in row):
         raise ValueError("arc labels must be integers")
+    if signs is not None and not all(type(s) is int for s in signs):
+        raise ValueError("signs must be integers")
     if type(free_circles) is not int or free_circles < 0:
         raise ValueError(f"free_circles must be a nonnegative integer, got {free_circles!r}")
     top = max((a for row in pd for a in row), default=0)
@@ -334,24 +302,22 @@ def _check_planar(diagram: LinkDiagram) -> None:
     that is F - V = 2 per piece, and no piece can exceed 2, so the sums
     over all pieces decide it.
     """
-    n = diagram.n
+    n, end = diagram.n, diagram._slot_end
     parent: dict[int, int] = {}
-    other = {}
-    for a, b in diagram.occurrences.values():
-        other[a], other[b] = b, a
-        parent[_find(parent, a[0])] = _find(parent, b[0])
+    for t, head in enumerate(end):
+        parent[_find(parent, t >> 2)] = _find(parent, head >> 2)
     pieces = len({_find(parent, c) for c in range(n)})
     faces = 0
-    seen = set()
-    for start in other:
-        if start in seen:
+    seen = bytearray(4 * n)
+    for start in range(4 * n):
+        if seen[start]:
             continue
         faces += 1
         cur = start
-        while cur not in seen:
-            seen.add(cur)
-            c, s = other[cur]
-            cur = (c, (s + 1) % 4)
+        while not seen[cur]:
+            seen[cur] = 1
+            head = end[cur]
+            cur = head & ~3 | (head + 1) & 3
     if faces - n != 2 * pieces:
         raise ValueError(
             f"PD code is not planar: V - E + F sums to {faces - n} over"
@@ -545,12 +511,12 @@ def _cut_arcs(diagram: LinkDiagram, arcs, top: int):
             free.remove(arc)
             ends.append((arc, arc))
             continue
-        d = diagram.arc_dir[arc]
-        if d is None:
+        i = diagram._arc_pos[arc]
+        if i in diagram._undirected:
             raise ValueError(f"arc {arc} has no direction")
         top += 1
-        c, s = d[1]
-        rows[c][s] = top
+        head = diagram._slot_end[diagram._arc_start[i]]
+        rows[head >> 2][head & 3] = top
         ends.append((arc, top))
     return [tuple(r) for r in rows], tuple(free), ends
 

@@ -71,6 +71,10 @@ def passage_sequences(diagram):
     A strand entering a crossing at an odd slot runs over it, at slot 0
     under; either way it leaves at the opposite slot.
     """
+    occurrences = {}
+    for ci, row in enumerate(diagram.crossings):
+        for slot, arc in enumerate(row):
+            occurrences.setdefault(arc, []).append((ci, slot))
     seqs = []
     for comp in diagram.components:
         start = min(comp)
@@ -80,7 +84,8 @@ def passage_sequences(diagram):
         word = []
         arc = start
         while True:
-            _, (ci, slot) = diagram.arc_dir[arc]
+            tail = divmod(diagram._arc_start[diagram.arcs.index(arc)], 4)
+            (ci, slot), = (o for o in occurrences[arc] if o != tail)
             word.append("o" if slot % 2 else "u")
             arc = diagram.crossings[ci][slot ^ 2]
             if arc == start:

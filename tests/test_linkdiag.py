@@ -174,6 +174,10 @@ def reference_resolve(diagram, alpha):
     when it has one, and records a (crossing, entry_slot, exit_slot)
     transit per arc.
     """
+    occurrences = {}
+    for ci, row in enumerate(diagram.crossings):
+        for s, arc in enumerate(row):
+            occurrences.setdefault(arc, []).append((ci, s))
     visited = set()
     circles = []
     for start_arc in diagram.arcs:
@@ -183,14 +187,13 @@ def reference_resolve(diagram, alpha):
             visited.add(start_arc)
             circles.append(((start_arc,), ()))
             continue
-        d = diagram.arc_dir[start_arc]
-        cur = d[0] if d is not None else diagram.occurrences[start_arc][0]
+        cur = divmod(diagram._arc_start[diagram.arcs.index(start_arc)], 4)
         start = cur
         arcs, transits = [], []
         while True:
             arc = diagram.crossings[cur[0]][cur[1]]
             visited.add(arc)
-            occ_a, occ_b = diagram.occurrences[arc]
+            occ_a, occ_b = occurrences[arc]
             ci, s_in = occ_b if cur == occ_a else occ_a
             s_out = s_in ^ 1 if not alpha >> ci & 1 else 3 - s_in
             arcs.append(arc)
