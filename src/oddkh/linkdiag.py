@@ -63,15 +63,14 @@ class LinkDiagram:
         crossings; these get sign 0 and impose no orientation
         constraints.
 
-    The incidence is held once, in flat tables with slot s of crossing
-    c at 4c + s: ``_arc_pos`` maps an arc to its position in ``arcs``,
-    ``_slot_arc`` gives the position of the arc at each slot and
-    ``_slot_end`` the slot at that arc's other end.  ``_arc_start``
-    gives, for each arc in ``arcs`` order, the slot its flow leaves
-    from, as the strand walk of ``_orient`` finds it, and -1 for a free
-    circle.  An arc with no flow direction
-    keeps its first slot there and is listed in ``_undirected``, with
-    the free circles.
+    The incidence is held once, slot s of crossing c at 4c + s:
+    ``_arc_pos`` maps an arc to its position in ``arcs``, ``_slot_arc``
+    gives the position of the arc at each slot and ``_slot_end`` the
+    slot at that arc's other end.  ``_arc_start`` gives, for each arc,
+    the slot its flow leaves from, as the strand walk of ``_orient``
+    finds it, and -1 for a free circle.  An arc with no flow keeps its
+    first slot there and is listed in ``_undirected``, as are the free
+    circles.
     """
 
     __slots__ = (

@@ -408,8 +408,27 @@ def test_movie_json_reports_the_quantum_shift(tmp_path, capsys):
         '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "teleport"}]}',
         '{"initial": {"pd": [], "free_circles": 2}, "events": '
         '[{"type": "r2", "arcs": [1, 2]}, {"type": "saddle", "arcs": [1, 2]}]}',
+        '{"initial": {"pd": []}, "events": ["birth"]}',
+        '{"initial": {"pd": []}, "events": {"type": "birth"}}',
+        '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "dot", "arc": 1.5}]}',
+        '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "dot", "arc": true}]}',
+        '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "death", "arc": "1"}]}',
+        '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "r1", "arc": 1, "sign": 0}]}',
+        '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "r1", "arc": 1, "sign": 1.7}]}',
     ],
-    ids=["invalid-json", "unknown-key", "unknown-event", "event-does-not-apply"],
+    ids=[
+        "invalid-json",
+        "unknown-key",
+        "unknown-event",
+        "event-does-not-apply",
+        "event-not-an-object",
+        "events-not-a-list",
+        "float-arc",
+        "bool-arc",
+        "string-arc",
+        "zero-sign",
+        "float-sign",
+    ],
 )
 def test_movie_rejects_malformed_scripts(tmp_path, capsys, content):
     path = tmp_path / "bad.json"

@@ -80,6 +80,69 @@ def test_parse_rejects_bad_codes():
         parse_pd({"pd": TREFOIL, "free_circles": 1.5})
     with pytest.raises(ValueError):
         parse_pd(TREFOIL, free_circles=True)
+    with pytest.raises(ValueError):
+        parse_pd({"pd": [[1, 2, 2, 1]], "signs": [-1.0]})  # a float sign, even a whole one
+    with pytest.raises(ValueError):
+        parse_pd({"pd": [[1, 1, 2, 2]], "signs": [True]})  # not read as +1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LinkDiagram([[1, 2, 3, 4], [1, 2, 3, 4]]), "inconsistent understrand directions"),
+        (
+            lambda: LinkDiagram([[6, 1, 6, 2], [3, 1, 3, 4], [2, 5, 4, 5]], signs=[-1, -1, 0], formal={2}),
+            "declared signs conflict along a strand",
+        ),
+        (lambda: LinkDiagram([[3, 4, 3, 2], [1, 2, 4, 1]], formal={1}), "sign of crossing 0 is underdetermined"),
+        # The piece between the two halves of a pinched circle runs from
+        # band site to band site and has no flow to cut along.
+        (lambda: attach_band(attach_band(unlink(1), 1, 1)[0], 1, 1), "arc 1 has no direction"),
+    ],
+    ids=["under-flow", "pinned-flow", "unpinned-sign", "undirected-arc"],
+)
+def test_orientation_refusals_name_their_reason(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def braid_closures(max_size=8):
+    return st.integers(2, 4).flatmap(
+        lambda n: st.lists(st.sampled_from([k for k in range(1 - n, n) if k]), min_size=1, max_size=max_size).map(
+            lambda w: braid_closure(w, n)
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        braid_closures(),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).map(rational_knot),
+        st.tuples(braid_closures(3), st.integers(2, 3), st.integers(-1, 1)).map(
+            lambda t: cable(t[0], t[1], t[0].writhe + t[2])
+        ),
+        braid_closures().flatmap(
+            lambda d: st.tuples(st.sampled_from(d.arcs), st.sampled_from(d.arcs)).map(
+                lambda pair: attach_band(d, *pair)[0]
+            )
+        ),
+    )
+)
+def test_flow_enters_each_crossing_as_its_sign_says(diagram):
+    def head(arc):
+        return diagram._slot_end[diagram._arc_start[diagram.arcs.index(arc)]]
+
+    for c, row in enumerate(diagram.crossings):
+        if c in diagram.formal:
+            continue
+        assert head(row[0]) == 4 * c
+        assert diagram._arc_start[diagram.arcs.index(row[2])] == 4 * c + 2
+        assert (head(row[3]) == 4 * c + 3) == (diagram.signs[c] == 1)
+        over_in = 3 if diagram.signs[c] == 1 else 1
+        assert head(row[over_in]) == 4 * c + over_in
+        assert diagram._arc_start[diagram.arcs.index(row[over_in ^ 2])] == 4 * c + (over_in ^ 2)
+    assert sorted(a for comp in diagram.components for a in comp) == sorted(diagram.arcs)
 
 
 @pytest.mark.parametrize(
@@ -233,13 +296,7 @@ def test_resolutions_match_the_reference_walk_on_corpus():
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    st.integers(2, 4).flatmap(
-        lambda n: st.lists(st.sampled_from([k for k in range(1 - n, n) if k]), min_size=1, max_size=8).map(
-            lambda w: braid_closure(w, n)
-        )
-    )
-)
+@given(braid_closures())
 def test_resolutions_match_the_reference_walk_on_braid_closures(diagram):
     assert_resolutions_match_reference(diagram)
 
