@@ -226,14 +226,17 @@ def _retract(cx: ChainComplex, pairs):
     for h in degrees:
         order = forced.get(h, [])
         pivot_cols, cut_rows, cut_cols = sources.get(h, ()), sources.get(h + 1, ()), targets.get(h, ())
-        d = cx.differential(h)
-        kept = {(i, j): v for (i, j), v in d.data.items() if i not in cut_rows and j not in cut_cols}
-        block, block_rows, block_cols, pivots, _ = _eliminate_units(IntMatrix(d.rows, d.cols, kept), order=order)
+        # The kept rows of d_h; on its transpose only the pivot rows are read back.
+        kept, dual = {}, {}
+        for (i, j), v in cx.differential(h).data.items():
+            if i not in cut_rows and j not in cut_cols:
+                kept.setdefault(i, {})[j] = v
+                if j in pivot_cols:
+                    dual.setdefault(j, {})[i] = v
+        block, block_rows, block_cols, pivots, _ = _eliminate_units(kept, order=order)
         solve(h, pivots, include)
         for (r, c), v in block.data.items():
             diff[(h, block_cols[c]), (h + 1, block_rows[r])] = v
-        # On the transpose only the pivot rows are read back.
-        dual = IntMatrix(d.cols, d.rows, {(j, i): v for (i, j), v in kept.items() if j in pivot_cols})
         solve(h + 1, _eliminate_units(dual, order=[(j, i) for i, j in order])[3], project)
     return include, project, diff
 
@@ -664,6 +667,8 @@ def r1_event(arc: int, sign: int = 1, direction: str = "do", side: str = "right"
     # the curl being removed carries its own sign and side, so undo ignores both
     if direction != "do":
         sign, side = 0, "right"
+    elif sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
     return MovieEvent("r1", (arc,), sign, direction, side)
 
 
@@ -699,7 +704,7 @@ def apply_event(cx: ChainComplex, event: MovieEvent) -> ChainMap:
     if event.kind == "dot":
         return dot_cobordism_map(cx, event.arcs[0])
     if event.kind == "r1":
-        return r1_cobordism_map(cx, event.arcs[0], event.sign or 1, event.direction, event.side)
+        return r1_cobordism_map(cx, event.arcs[0], event.sign, event.direction, event.side)
     if event.kind == "r2":
         return r2_cobordism_map(cx, event.arcs, event.direction)
     raise ValueError(f"unknown event kind {event.kind!r}")
@@ -749,7 +754,19 @@ def dotted_combination(initial, backbone, placements, theory: str = "y") -> Chai
     return combined
 
 
+# The keys each kind of event reads from its JSON object.
+_EVENT_KEYS = {
+    "birth": {"type"},
+    "death": {"type", "arc"},
+    "dot": {"type", "arc"},
+    "saddle": {"type", "arcs"},
+    "r1": {"type", "arc", "sign", "direction", "side"},
+    "r2": {"type", "arcs", "direction"},
+}
+
+
 def event_to_dict(event: MovieEvent) -> dict:
+    """The JSON object of an event, with only the keys its kind reads."""
     out: dict = {"type": event.kind}
     if event.kind in ("death", "dot"):
         out["arc"] = event.arcs[0]
@@ -779,6 +796,12 @@ def event_from_dict(data: dict) -> MovieEvent:
     if not isinstance(data, dict):
         raise ValueError(f"an event must be a JSON object, got {data!r}")
     kind = data.get("type")
+    keys = _EVENT_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ValueError(f"unknown event type {kind!r}")
+    unknown = set(data) - keys
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} for event type {kind!r}")
     if kind == "birth":
         return birth_event()
     if kind == "death":
@@ -793,10 +816,8 @@ def event_from_dict(data: dict) -> MovieEvent:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         return r1_event(_json_int(data["arc"], "arc"), sign, data.get("direction", "do"), data.get("side", "right"))
-    if kind == "r2":
-        a, b = data["arcs"]
-        return r2_event(_json_int(a, "arc"), _json_int(b, "arc"), data.get("direction", "do"))
-    raise ValueError(f"unknown event type {kind!r}")
+    a, b = data["arcs"]
+    return r2_event(_json_int(a, "arc"), _json_int(b, "arc"), data.get("direction", "do"))
 
 
 def script_to_dict(initial: LinkDiagram, events) -> dict:

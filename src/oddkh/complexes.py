@@ -23,24 +23,25 @@ S's: ``homology`` doubles it, or shifts it for reduced homology, and
 coefficient theorem.  Presentations, induced maps and cobordism maps
 use the full complex.
 
-Assembly builds no differential.  One placer (``_place``) writes d_h
-from the cube's edge tables through a layout that gives each generator
-a block and a position, and the reader decides which layout is placed:
-``differential(h)`` places the whole d_h in one block, once, and keeps
-it; the homology table places only S's quantum blocks and hands them to
-the elimination, so homology and ``reduce_coefficients`` never build a
-full differential.  Every placement is read back by one entry gate
-(``_check_entries``).
+Assembly builds no differential.  One placer (``_place``) writes one
+source block of d_h at a time from the cube's edge tables, through a
+layout that gives each generator a block and a position, as sparse
+columns {col: {row: value}}; one entry gate (``_check_entries``) reads
+every block back.  ``differential(h)`` places d_h as one block, once,
+and keeps it as an ``IntMatrix``.  The homology table places S's
+quantum blocks one at a time: a block's columns are the sparse rows of
+its transpose, which has the same elementary divisors, and the unit
+elimination consumes them before the next block is placed, so no full
+differential and no ``IntMatrix`` of a placed block is built.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .cube import Cube, _first_failing_face, _first_wrong_table, solve_sign_assignment
-from .linalg import IntMatrix, elementary_divisors, integer_cokernel, integer_kernel, solve_integer
+from .linalg import IntMatrix, _divisors, _sparse_rows, elementary_divisors, integer_cokernel, integer_kernel, solve_integer
 from .oddtqft import monomial_order
 
 __all__ = [
@@ -123,7 +124,10 @@ class ChainComplex:
         if d is None:
             if self._given or h not in self._runs or h + 1 not in self._runs:
                 return IntMatrix.zero(self.dim(h + 1), self.dim(h))
-            d = self._diff[h] = _place(self, h, _one_block(self.dim(h)), _one_block(self.dim(h + 1)))[0]
+            columns = _place(self, h, _one_block(self.dim(h)), _one_block(self.dim(h + 1)), 0, {})
+            # The gate has read every entry back in range and nonzero.
+            d = self._diff[h] = IntMatrix(self.dim(h + 1), self.dim(h))
+            d.data = {(r, j): v for j, column in columns.items() for r, v in column.items()}
         return d
 
     def gradings(self) -> list[tuple[int, int]]:
@@ -149,7 +153,8 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     - ``differential(h)`` places the full d_h once and keeps it; chain
       maps, presentations, homotopies and ``is_chain_map`` read these;
     - ``homology`` and ``reduce_coefficients`` place only the marked
-      half's quantum blocks and build no full differential.
+      half's quantum blocks, one at a time, and build no full
+      differential.
 
     So any face-classification, table, sign or placement error surfaces
     before a matrix is read, not in a homology answer.  A reader that
@@ -180,52 +185,53 @@ def _one_block(n: int) -> tuple:
     return {0: each}, each, (0,) * n
 
 
-def _place(c: ChainComplex, h: int, src: tuple, dst: tuple) -> dict:
-    """d_h written through the layouts of degrees h and h + 1.
+def _place(c: ChainComplex, h: int, src: tuple, dst: tuple, key, at: dict) -> dict:
+    """Source block ``key`` of d_h, as sparse columns {col: {row: value}}.
 
-    A layout (see ``_layout``) gives each generator a block and a
-    position in it, or none.  Returns one matrix per source block, in
-    block coordinates.  An assembled complex is placed vertex by vertex
-    and edge by edge from the cube's shared edge tables; sources outside
-    the layout and entries whose row falls outside the source's block
-    are skipped, and ``_check_entries`` then counts what was placed.
-    Differentials given by hand are cut (``_cut``) and not checked.
+    ``src`` and ``dst`` are the layouts (see ``_layout``) of degrees h
+    and h + 1, which give each generator a block and a position in it.
+    The placer walks the block's members in order, moving forward
+    through the degree's vertex runs, and writes each member's column
+    whole from the cube's shared edge tables, edge by edge in crossing
+    order; columns with no entry are left out.  This is the order in
+    which d_h's entries have always been read, and the homotopy
+    system's pivot order follows it.  ``at``, one cache per degree and
+    layout, maps each target vertex to the block position of each of
+    its masks.  Every placement is read back by the entry gate
+    (``_check_entries``); differentials given by hand are cut (``_cut``)
+    and not checked.
     """
     if c._given:
-        return _cut(c.differential(h), src, dst)
-    cube, signs = c.cube, c.signs
-    (cols, src_pos, keys), (rows, dst_pos, _) = src, dst
-    by_key: dict = {k: ({}, len(rows.get(k, ()))) for k in cols}
+        return _sparse_rows(_cut(c.differential(h), src, dst)[key].transpose())
+    cube, signs, dst_pos = c.cube, c.signs, dst[1]
     targets, run_of = c._runs[h + 1], c._at[h + 1]
-    # Each target vertex's block row of every mask, built once.
-    at: dict[int, list] = {}
-    for alpha, start, order, _ in c._runs[h]:
-        # Entries go in generator order, crossing by crossing: the
-        # unit elimination breaks pivot ties by entry order, so this
-        # order keeps its pivots and the generators it reports.
-        out = []
-        for k in range(cube.n):
-            if alpha >> k & 1:
-                continue
-            beta = alpha | 1 << k
-            place = at.get(beta)
-            if place is None:
-                _, base, _, rank = targets[run_of[beta]]
-                place = at[beta] = [dst_pos[base + r] for r in rank]
-            out.append((signs[alpha, k], place, cube.edge_table(alpha, k)))
-        for j, mask in enumerate(order, start):
-            p = src_pos[j]
-            if p < 0:
-                continue
-            entries, size = by_key[keys[j]]
-            for e, place, table in out:
-                for coeff, m in table[mask]:
-                    r = place[m]
-                    if 0 <= r < size:
-                        entries[r, p] = e * coeff
-    blocks = {k: IntMatrix(size, len(cols[k]), e) for k, (e, size) in by_key.items()}
-    _check_entries(c, h, blocks, src, dst)
-    return blocks
+    runs = iter(c._runs[h])
+    end = 0
+    columns: dict = {}
+    for p, j in enumerate(src[0][key]):
+        if j >= end:
+            while j >= end:
+                alpha, start, order, _ = next(runs)
+                end = start + len(order)
+            out = []
+            for k in range(cube.n):
+                if alpha >> k & 1:
+                    continue
+                beta = alpha | 1 << k
+                place = at.get(beta)
+                if place is None:
+                    _, base, _, rank = targets[run_of[beta]]
+                    place = at[beta] = [dst_pos[base + r] for r in rank]
+                out.append((signs[alpha, k], place, cube.edge_table(alpha, k)))
+        mask = order[j - start]
+        column = {}
+        for e, place, table in out:
+            for coeff, m in table[mask]:
+                column[place[m]] = e * coeff
+        if column:
+            columns[p] = column
+    _check_entries(c, h, src, dst, key, columns)
+    return columns
 
 
 def _validate(c: ChainComplex) -> None:
@@ -253,75 +259,63 @@ def _validate(c: ChainComplex) -> None:
     if edge is not None:
         raise AssertionError(f"edge table differs from its saddle map at edge {edge}")
     for h, d in c._diff.items():
-        src, dst = _one_block(d.cols), _one_block(d.rows)
-        _check_entries(c, h, {0: d}, src, dst)
+        _check_entries(c, h, _one_block(d.cols), _one_block(d.rows), 0, _sparse_rows(d.transpose()))
 
 
-def _check_entries(c: ChainComplex, h: int, blocks: dict, src: tuple, dst: tuple) -> None:
-    """Raise AssertionError unless d_h's placed blocks are the signed cube's.
+def _check_entries(c: ChainComplex, h: int, src: tuple, dst: tuple, key, columns: dict) -> None:
+    """Raise AssertionError unless ``columns`` is source block ``key`` of d_h.
 
-    ``blocks`` holds one matrix per source block of the layouts ``src``
-    and ``dst`` (see ``_place``).  Each entry is read back to its
-    generators through the layouts, and must lie on a cube edge, equal
-    that edge's sign times its table coefficient and preserve quantum
-    degree; and the blocks must hold as many entries as the tables have
-    terms on the generators of ``src``, so none was dropped, overwritten
-    or placed outside the layouts.
+    ``columns`` holds the block as sparse columns {col: {row: value}} in
+    block coordinates of the layouts ``src`` and ``dst`` (see
+    ``_place``).  The gate walks the block's members forward through the
+    vertex runs, reads each source vertex's edges once per visit, and
+    maps each entry back to its target generator through ``dst``'s block
+    members, with no search.  Every column and row must lie inside the
+    block, and every entry must preserve quantum degree and equal the
+    term of the member's image under the cube's edge maps (the edge's
+    sign times its table coefficient) at that target.  The columns must
+    hold as many entries as the image has terms, summed over the
+    block's members, so none was dropped, overwritten or placed outside
+    the layouts.
     """
     cube = c.cube
-    (cols, src_pos, _), (rows, _, _) = src, dst
+    members, below = src[0][key], dst[0].get(key, ())
     qs, qt = c.quantum_degrees(h), c.quantum_degrees(h + 1)
-    sources, targets = c._runs[h], c._runs[h + 1]
-    source_starts, target_starts = [run[1] for run in sources], [run[1] for run in targets]
-    # For each vertex of degree h, its edges by target vertex, and the
-    # terms its placed generators have along them.
-    edges: dict[int, dict] = {}
-    lengths: dict[int, tuple] = {}
-    expected = 0
-    for alpha, start, basis, _ in sources:
-        flags = src_pos[start:start + len(basis)]
-        whole = min(flags) >= 0
-        placed = basis if whole else [m for m, p in zip(basis, flags) if p >= 0]
-        out = edges[alpha] = {}
-        for k in range(cube.n):
-            if alpha >> k & 1:
-                continue
-            table = cube.edge_table(alpha, k)
-            i = cube.edge_shape(alpha, k)
-            n = lengths.get(i)
-            if n is None:
-                each = [len(col) for col in table]
-                n = lengths[i] = (each, sum(each))
-            expected += n[1] if whole else sum(map(n[0].__getitem__, placed))
-            out[alpha | 1 << k] = (c.signs[alpha, k], table)
-    found = 0
-    for key, block in blocks.items():
-        members, below = cols[key], rows.get(key, ())
-        found += len(block.data)
-        last = -1
-        for (r, p), v in block.data.items():
-            if p != last:
-                last = p
-                j = members[p]
-                alpha, start, basis, _ = sources[bisect_right(source_starts, j) - 1]
-                mask = basis[j - start]
-                out = edges[alpha]
+    targets, run_of = c._runs[h + 1], c._at[h + 1]
+    size = len(below)
+    expected = read = 0
+    runs = iter(c._runs[h])
+    end = 0
+    for p, j in enumerate(members):
+        if j >= end:
+            while j >= end:
+                alpha, start, basis, _ = next(runs)
+                end = start + len(basis)
+            # Each edge out of alpha: its sign, table and target run.
+            edges = []
+            for k in range(cube.n):
+                if not alpha >> k & 1:
+                    _, base, _, rank = targets[run_of[alpha | 1 << k]]
+                    edges.append((c.signs[alpha, k], cube.edge_table(alpha, k), base, rank))
+        mask = basis[j - start]
+        # The member's image, by target generator.
+        image = {base + rank[m]: e * coeff for e, table, base, rank in edges for coeff, m in table[mask]}
+        expected += len(image)
+        column = columns.get(p)
+        if not column:
+            continue
+        read += len(column)
+        if min(column) < 0 or max(column) >= size:
+            raise AssertionError(f"differential entry outside its block in degree {h}")
+        q = qs[j]
+        for r, v in column.items():
             i = below[r]
-            if qt[i] != qs[j]:
-                raise AssertionError("differential entry changes quantum degree")
-            beta, start, basis, _ = targets[bisect_right(target_starts, i) - 1]
-            edge = out.get(beta)
-            if edge is None:
-                raise AssertionError(f"differential entry off the cube edges in degree {h}")
-            e, table = edge
-            m = basis[i - start]
-            for coeff, target in table[mask]:
-                if target == m:
-                    break
-            else:
-                coeff = 0
-            if v != e * coeff:
-                raise AssertionError(f"differential entry differs from its edge map in degree {h}")
+            if qt[i] != q or image.get(i) != v:
+                what = "changes quantum degree" if qt[i] != q else "differs from the edge maps"
+                raise AssertionError(f"differential entry {what} in degree {h}")
+    found = sum(map(len, columns.values()))
+    if read != found:
+        raise AssertionError(f"differential entry outside its block in degree {h}")
     if found != expected:
         raise AssertionError(f"degree {h} has {found} entries, its edges {expected} terms")
 
@@ -417,18 +411,25 @@ def _marked_layout(c: ChainComplex, bits: dict | None = None) -> dict:
 def _marked_half(c: ChainComplex, bits: dict | None = None) -> tuple[dict, dict]:
     """Elementary divisors and block sizes of the marked subcomplex S.
 
-    S's (h, q) blocks (see ``_marked_layout``) are placed straight from
-    the cube (``_place``), one degree at a time, so no full differential
-    is built.  Returns the divisor table of S's (h, q) blocks and the
-    size of each block, in the full complex's quantum grading.
+    S's (h, q) blocks (see ``_marked_layout``) are placed one at a time,
+    straight from the cube, as sparse columns (``_place``, which reads
+    them back through ``_check_entries``).  The columns of a block are
+    the rows of its transpose, which has the same elementary divisors;
+    the unit elimination (``linalg._divisors``) consumes them, and the
+    block is gone before the next one is placed.  No full differential
+    and no ``IntMatrix`` of a placed block is built.  Returns the divisor
+    table of S's (h, q) blocks and the size of each block, in the full
+    complex's quantum grading.
     """
     lay = _marked_layout(c, bits)
     divisors = {}
     for h in c.degrees():
         if h + 1 in lay:
-            for q, block in _place(c, h, lay[h], lay[h + 1]).items():
-                if block.data:
-                    divisors[h, q] = elementary_divisors(block)
+            at: dict = {}
+            for q in lay[h][0]:
+                block = _divisors(_place(c, h, lay[h], lay[h + 1], q, at))
+                if block:
+                    divisors[h, q] = block
     sizes = {(h, q): len(gens) for h, block in lay.items() for q, gens in block[0].items()}
     return divisors, sizes
 
@@ -486,7 +487,7 @@ def homology(c: ChainComplex, reduced: bool = False) -> BigradedHomology:
     q (Ozsvath-Rasmussen-Szabo), where S = x_a C is the subcomplex of
     monomials holding the circle through a marked arc a; here a is the
     diagram's smallest arc, whose circle is bit 0 of every mask.  Each
-    differential of S is cut into its quantum-degree blocks, each
+    differential of S is placed one quantum-degree block at a time, each
     block's nonzero elementary divisors are computed once, and S's table
     is read off them.  The table of C is S's table doubled: the group at
     (h, q) is S's group at (h, q) plus S's group at (h, q - 2).

@@ -6,9 +6,12 @@ computation (elementary divisors and the integer and mod-p ranks read
 off them, solves, kernels, cokernels) runs one sparse elimination that
 cancels unit (+-1) pivots, then Smith normal form on the block left
 over; U, V and V^-1 are built for that block only.  Both eliminations
-work on sparse lines: the unit elimination keeps rows as dicts with a
-row set per column, and Smith normal form keeps the block as row dicts
-and as column dicts, U as rows and V as columns, so each row or column
+work on sparse lines.  The unit elimination takes sparse rows {row:
+{col: value}}, indexes each column's rows and consumes them; the
+public ``IntMatrix`` entry points convert their matrix once
+(``_sparse_rows``), and ``complexes`` and ``cobordism`` build rows
+directly.  Smith normal form keeps the block as row dicts and as
+column dicts, U as rows and V as columns, so each row or column
 operation costs the nonzeros it touches.  The unit elimination, on a
 forced pivot order, gives the Reidemeister retractions of
 ``cobordism``.  The GF(2) solver on bitmask rows enumerates every
@@ -357,13 +360,23 @@ def _forced(rows, order):
         yield r, c
 
 
-def _eliminate_units(A: IntMatrix, b: list[int] | None = None, order=None):
-    """Cancel the unit (+-1) pivots of A by integer row operations.
+def _sparse_rows(A: IntMatrix) -> dict[int, dict[int, int]]:
+    """A's entries as sparse rows {row: {col: value}}, the input of ``_eliminate_units``."""
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), v in A.data.items():
+        rows.setdefault(r, {})[c] = v
+    return rows
 
-    Rows are dicts, and each column keeps the set of rows that use it.
-    Without ``order``, pivots are picked Markowitz-style: the shortest
-    row holding a unit first, then within that row the unit whose
-    column has the fewest nonzeros, which keeps fill-in low.  With
+
+def _eliminate_units(rows: dict[int, dict[int, int]], b: list[int] | None = None, order=None):
+    """Cancel the unit (+-1) pivots of a matrix by integer row operations.
+
+    The matrix comes as sparse rows {row: {col: value}} with no zero
+    entries, which the elimination consumes: it indexes each column's
+    rows, then works on the row dicts in place.  Without
+    ``order``, pivots are picked Markowitz-style: the shortest row
+    holding a unit first, then within that row the unit whose column
+    has the fewest nonzeros, which keeps fill-in low.  With
     ``order``, a list of (row, col) pairs, exactly those pivots are
     taken, in that order; each must be a unit when its turn comes, or
     AssertionError is raised.  A pivot row clears its column from every
@@ -379,14 +392,13 @@ def _eliminate_units(A: IntMatrix, b: list[int] | None = None, order=None):
         ``pivots`` lists ``(row, col, entries)`` in elimination order,
         each with the row's entries as they stood when it was picked.
         ``rhs`` is the reduced right-hand side by original row (None
-        without ``b``).  A is equivalent to diag(I_k, block) by
+        without ``b``).  The matrix is equivalent to diag(I_k, block) by
         unimodular row and column operations, with k = len(pivots).
     """
-    rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in A.data.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
     rhs = list(b) if b is not None else None
     heap = [(len(row), r) for r, row in rows.items()] if order is None else []
     heapq.heapify(heap)
@@ -426,12 +438,17 @@ def _eliminate_units(A: IntMatrix, b: list[int] | None = None, order=None):
 
 
 def elementary_divisors(A: IntMatrix) -> tuple[int, ...]:
-    """The nonzero elementary divisors of A, as a divisibility chain.
+    """The nonzero elementary divisors of A, as a divisibility chain."""
+    return _divisors(_sparse_rows(A))
+
+
+def _divisors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
+    """``elementary_divisors`` of sparse rows, which it consumes.
 
     One 1 for each unit pivot, followed by the nonzero Smith normal form
     diagonal of the block left over after unit elimination.
     """
-    block, _, _, pivots, _ = _eliminate_units(A)
+    block, _, _, pivots, _ = _eliminate_units(rows)
     tail = smith_normal_form(block).diagonal if block.data else ()
     return (1,) * len(pivots) + tuple(d for d in tail if d)
 
@@ -480,7 +497,7 @@ def _split(A: IntMatrix):
     the rows of A read as relations, the rows of Y generate the quotient
     of Z^cols and the columns of X are its coordinate functionals.
     """
-    block, _, block_cols, pivots, _ = _eliminate_units(A)
+    block, _, block_cols, pivots, _ = _eliminate_units(_sparse_rows(A))
     used = set(block_cols).union(c for _, c, _ in pivots)
     dirs = [(0, [(c, 1)], [(c, 1)]) for c in range(A.cols) if c not in used]
     if block.data:
@@ -545,7 +562,7 @@ def solve_integer(A: IntMatrix, b: list[int]) -> list[int] | None:
     """
     if len(b) != A.rows:
         raise ValueError("right-hand side length mismatch")
-    block, block_rows, block_cols, pivots, rhs = _eliminate_units(A, b)
+    block, block_rows, block_cols, pivots, rhs = _eliminate_units(_sparse_rows(A), b)
     used = set(block_rows).union(r for r, _, _ in pivots)
     if any(rhs[r] for r in range(A.rows) if r not in used):
         return None

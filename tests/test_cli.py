@@ -415,6 +415,8 @@ def test_movie_json_reports_the_quantum_shift(tmp_path, capsys):
         '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "death", "arc": "1"}]}',
         '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "r1", "arc": 1, "sign": 0}]}',
         '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "r1", "arc": 1, "sign": 1.7}]}',
+        '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "dot", "arc": 1, "sign": 3}]}',
+        '{"initial": {"pd": [], "free_circles": 1}, "events": [{"type": "birth", "arc": 5}]}',
     ],
     ids=[
         "invalid-json",
@@ -428,6 +430,8 @@ def test_movie_json_reports_the_quantum_shift(tmp_path, capsys):
         "string-arc",
         "zero-sign",
         "float-sign",
+        "unused-dot-sign",
+        "unused-birth-arc",
     ],
 )
 def test_movie_rejects_malformed_scripts(tmp_path, capsys, content):

@@ -687,6 +687,59 @@ def test_event_dict_round_trip():
         assert event_from_dict(event_to_dict(e)) == e
 
 
+# The keys each kind of event may carry in its JSON object.
+EVENT_KEYS = {
+    "birth": {"type"},
+    "death": {"type", "arc"},
+    "dot": {"type", "arc"},
+    "saddle": {"type", "arcs"},
+    "r1": {"type", "arc", "sign", "direction", "side"},
+    "r2": {"type", "arcs", "direction"},
+}
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        birth_event(),
+        death_event(2),
+        dot_event(3),
+        saddle_event(1, 2),
+        r1_event(1, 1),
+        r1_event(1, -1),
+        r1_event(2, 1, side="left"),
+        r1_event(2, -1, side="left"),
+        r1_event(4, direction="undo"),
+        r2_event(1, 2),
+        r2_event(3, 4, direction="undo"),
+    ],
+    ids=lambda e: f"{e.kind}-{e.direction}-{e.sign}-{e.side}",
+)
+def test_event_dict_round_trips_with_only_its_kinds_keys(event):
+    data = event_to_dict(event)
+    assert set(data) <= EVENT_KEYS[event.kind]
+    assert event_from_dict(data) == event
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_KEYS))
+def test_event_from_dict_refuses_a_key_its_kind_does_not_read(kind):
+    spare = min({"arc", "arcs", "sign", "side"} - EVENT_KEYS[kind])
+    data = {"type": kind, "arc": 1, "arcs": [1, 2]}
+    data = {k: v for k, v in data.items() if k in EVENT_KEYS[kind]}
+    data[spare] = 1
+    with pytest.raises(ValueError, match=f"unknown keys \\['{spare}'\\]"):
+        event_from_dict(data)
+
+
+def test_r1_event_refuses_a_do_sign_other_than_one():
+    for sign in (0, 2, -3):
+        with pytest.raises(ValueError, match="sign must be"):
+            r1_event(1, sign)
+    # undo ignores the sign of the curl it removes
+    assert r1_event(1, 0, "undo") == r1_event(1, direction="undo")
+    assert evaluate_movie(unknot(), [r1_event(1, -1)]).final.signs == (-1,)
+
+
 def test_r1_event_dict_normalizes_like_r1_event():
     # undo ignores the sign and side of the curl it removes; do defaults to +1
     undo = {"type": "r1", "arc": 3, "direction": "undo", "sign": -1, "side": "left"}

@@ -299,6 +299,25 @@ def test_assembled_complex_takes_under_150_bytes_per_generator():
     assert held / gens < 150
 
 
+def test_homology_stage_peaks_under_100_bytes_per_generator():
+    # Above the assembled complex, the homology stage holds one placed
+    # block of the marked half at a time.
+    d = rational_knot((3, 3, 4))
+    tracemalloc.start()
+    try:
+        cx = assemble_complex(build_cube(d, "x"))
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        homology(cx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gens = sum(cx.dim(h) for h in cx.degrees())
+    assert gens == 18570
+    assert (peak - held) / gens < 100
+
+
 @pytest.mark.parametrize("mutation", ["offset", "mask", "sign", "drop"])
 @pytest.mark.parametrize("code", [TREFOIL, FIG8, POKE], ids=["trefoil", "fig8", "poke"])
 def test_validate_refuses_a_mutated_assembly(mutation, code):
@@ -310,7 +329,7 @@ def test_validate_refuses_a_mutated_assembly(mutation, code):
 
 
 def marked_cut(cx, h, d, lay):
-    """The entries of a full d_h on the marked half, in block coordinates.
+    """The entries of a full d_h on the marked half, as each block's sparse columns.
 
     An entry whose source is marked but whose target is unmarked or of
     another quantum degree is dropped, as the placer drops targets
@@ -320,26 +339,44 @@ def marked_cut(cx, h, d, lay):
     blocks = {q: {} for q in cols}
     for (i, j), v in d.data.items():
         if src_pos[j] >= 0 and dst_pos[i] >= 0 and qt[i] == qs[j]:
-            blocks[qs[j]][dst_pos[i], src_pos[j]] = v
-    return {q: IntMatrix(len(rows.get(q, ())), len(cols[q]), e) for q, e in blocks.items()}
+            blocks[qs[j]].setdefault(src_pos[j], {})[dst_pos[i]] = v
+    return blocks
 
 
 @pytest.mark.parametrize("mutation", ["offset", "mask", "sign", "drop"])
 @pytest.mark.parametrize("code", [TREFOIL, FIG8, POKE], ids=["trefoil", "fig8", "poke"])
 def test_entry_gate_refuses_mutated_marked_blocks(mutation, code):
+    # Each block's columns are what the marked half hands to the elimination.
     cube = build_cube(parse_pd(code))
     cx, diff = mutant_differentials(cube, mutation, eligible=lambda mask: mask & 1)
     lay = complexes_module._marked_layout(cx)
     changed = 0
     for h, d in diff.items():
-        blocks = marked_cut(cx, h, d, lay)
-        if blocks == complexes_module._place(cx, h, lay[h], lay[h + 1]):
-            complexes_module._check_entries(cx, h, blocks, lay[h], lay[h + 1])
-            continue
-        changed += 1
-        with pytest.raises(AssertionError):
-            complexes_module._check_entries(cx, h, blocks, lay[h], lay[h + 1])
+        at = {}
+        for q, columns in marked_cut(cx, h, d, lay).items():
+            if columns == complexes_module._place(cx, h, lay[h], lay[h + 1], q, at):
+                complexes_module._check_entries(cx, h, lay[h], lay[h + 1], q, columns)
+                continue
+            changed += 1
+            with pytest.raises(AssertionError):
+                complexes_module._check_entries(cx, h, lay[h], lay[h + 1], q, columns)
     assert changed
+
+
+@pytest.mark.parametrize("row", ["past", "negative"])
+def test_entry_gate_refuses_an_entry_outside_its_block(row):
+    # No IntMatrix range check runs on the marked path, so the gate itself
+    # must refuse a row past the block or before it.
+    cx = assemble_complex(build_cube(parse_pd(TREFOIL)))
+    lay = complexes_module._marked_layout(cx)
+    h, q = next((h, q) for h in cx.degrees() if h + 1 in lay for q in lay[h][0] if lay[h + 1][0].get(q))
+    columns = complexes_module._place(cx, h, lay[h], lay[h + 1], q, {})
+    complexes_module._check_entries(cx, h, lay[h], lay[h + 1], q, columns)
+    p = next(iter(columns))
+    r, v = columns[p].popitem()
+    columns[p][len(lay[h + 1][0][q]) if row == "past" else -1] = v
+    with pytest.raises(AssertionError, match="outside its block"):
+        complexes_module._check_entries(cx, h, lay[h], lay[h + 1], q, columns)
 
 
 def reference_marked_blocks(c, diff, h):
@@ -352,15 +389,24 @@ def reference_marked_blocks(c, diff, h):
     return {q: full.submatrix(marked(h + 1, q), marked(h, q)) for q in set(c.quantum_degrees(h))}
 
 
+def columns_of(m):
+    """An IntMatrix as sparse columns {col: {row: value}}, columns and rows ascending."""
+    out = {}
+    for (i, j), v in sorted(m.data.items(), key=lambda e: e[0][::-1]):
+        out.setdefault(j, {})[i] = v
+    return out
+
+
 def assert_marked_blocks_match_reference(cube):
     cx = assemble_complex(cube)
     _, _, diff = reference_assembly(cube, cx.signs)
     lay = complexes_module._marked_layout(cx)
     for h in cx.degrees():
         if h + 1 in lay:
-            placed = complexes_module._place(cx, h, lay[h], lay[h + 1])
+            at = {}
+            placed = {q: complexes_module._place(cx, h, lay[h], lay[h + 1], q, at) for q in lay[h][0]}
             expected = reference_marked_blocks(cx, diff, h)
-            assert placed == {q: b for q, b in expected.items() if b.cols}, h
+            assert placed == {q: columns_of(b) for q, b in expected.items() if b.cols}, h
     # Placing the marked half builds no full differential.
     assert not cx._diff
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oddkh.linalg import (
     IntMatrix,
     _eliminate_units,
+    _sparse_rows,
     elementary_divisors,
     integer_cokernel,
     integer_kernel,
@@ -189,7 +190,7 @@ def snf_solvable(a, b):
 def test_solve_integer_with_leftover_block():
     # No unit entries at all: the whole matrix is the leftover block.
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
-    block, _, _, pivots, _ = _eliminate_units(a)
+    block, _, _, pivots, _ = _eliminate_units(_sparse_rows(a))
     assert pivots == [] and block == a
     x = solve_integer(a, [6, 14])
     assert x is not None and a.apply(x) == [6, 14]
@@ -198,7 +199,7 @@ def test_solve_integer_with_leftover_block():
     assert solve_integer(a, [2, 4]) is None  # only rational: (0, 1/2)
     # One unit pivot, then a 2x2 leftover block with invariant factors 2, 4.
     a = IntMatrix.from_rows([[1, 1, 0], [1, 3, 4], [0, 6, 8]])
-    block, _, _, pivots, _ = _eliminate_units(a)
+    block, _, _, pivots, _ = _eliminate_units(_sparse_rows(a))
     assert len(pivots) == 1 and block.rows == 2 and block.cols == 2
     assert elementary_divisors(a) == (1, 2, 4)
     for b in ([1, 2, 0], [0, 0, 1], [3, 5, 8], [0, 1, 0]):
@@ -211,9 +212,9 @@ def test_solve_integer_with_leftover_block():
 def test_forced_pivots_come_out_in_the_given_order():
     a = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     # Markowitz would start at (0, 0); the forced order starts elsewhere.
-    assert [(r, c) for r, c, _ in _eliminate_units(a)[3]][0] == (0, 0)
+    assert [(r, c) for r, c, _ in _eliminate_units(_sparse_rows(a))[3]][0] == (0, 0)
     order = [(2, 2), (0, 0)]
-    block, block_rows, block_cols, pivots, _ = _eliminate_units(a, order=order)
+    block, block_rows, block_cols, pivots, _ = _eliminate_units(_sparse_rows(a), order=order)
     assert [(r, c) for r, c, _ in pivots] == order
     assert (block_rows, block_cols) == ([1], [1]) and block.to_rows() == [[-2]]
     # The forced elimination is unimodular too, so the divisors agree.
@@ -234,7 +235,7 @@ def test_forced_pivots_come_out_in_the_given_order():
 )
 def test_forced_pivot_must_be_a_unit_at_its_turn(rows, order):
     with pytest.raises(AssertionError, match="not a unit"):
-        _eliminate_units(IntMatrix.from_rows(rows), order=order)
+        _eliminate_units(_sparse_rows(IntMatrix.from_rows(rows)), order=order)
 
 
 def test_elementary_divisors_match_snf():
@@ -288,7 +289,7 @@ def check_kernel(a):
 def test_integer_kernel_with_leftover_block():
     # No unit entries: the kernel comes from the leftover block's SNF.
     a = IntMatrix.from_rows([[2, 4, 6], [6, 8, 2]])
-    assert _eliminate_units(a)[3] == []
+    assert _eliminate_units(_sparse_rows(a))[3] == []
     check_kernel(a)
     assert integer_kernel(a)[0].cols == 1
     # One unit pivot, a leftover block with divisors 2, 4, and two free columns.
