@@ -335,7 +335,7 @@ def marked_cut(cx, h, d, lay):
     another quantum degree is dropped, as the placer drops targets
     outside its layout; the entry gate must then find one entry short.
     """
-    (cols, src_pos, qs), (rows, dst_pos, qt) = lay[h], lay[h + 1]
+    (cols, src_pos, qs), (_, dst_pos, qt) = lay[h], lay[h + 1]
     blocks = {q: {} for q in cols}
     for (i, j), v in d.data.items():
         if src_pos[j] >= 0 and dst_pos[i] >= 0 and qt[i] == qs[j]:
@@ -363,18 +363,21 @@ def test_entry_gate_refuses_mutated_marked_blocks(mutation, code):
     assert changed
 
 
-@pytest.mark.parametrize("row", ["past", "negative"])
-def test_entry_gate_refuses_an_entry_outside_its_block(row):
+@pytest.mark.parametrize("where", ["past", "negative", "column"])
+def test_entry_gate_refuses_an_entry_outside_its_block(where):
     # No IntMatrix range check runs on the marked path, so the gate itself
-    # must refuse a row past the block or before it.
+    # must refuse a row past the block or before it, and a column past it.
     cx = assemble_complex(build_cube(parse_pd(TREFOIL)))
     lay = complexes_module._marked_layout(cx)
     h, q = next((h, q) for h in cx.degrees() if h + 1 in lay for q in lay[h][0] if lay[h + 1][0].get(q))
     columns = complexes_module._place(cx, h, lay[h], lay[h + 1], q, {})
     complexes_module._check_entries(cx, h, lay[h], lay[h + 1], q, columns)
     p = next(iter(columns))
-    r, v = columns[p].popitem()
-    columns[p][len(lay[h + 1][0][q]) if row == "past" else -1] = v
+    if where == "column":
+        columns[len(lay[h][0][q])] = columns.pop(p)
+    else:
+        _, v = columns[p].popitem()
+        columns[p][len(lay[h + 1][0][q]) if where == "past" else -1] = v
     with pytest.raises(AssertionError, match="outside its block"):
         complexes_module._check_entries(cx, h, lay[h], lay[h + 1], q, columns)
 
@@ -390,9 +393,9 @@ def reference_marked_blocks(c, diff, h):
 
 
 def columns_of(m):
-    """An IntMatrix as sparse columns {col: {row: value}}, columns and rows ascending."""
+    """An IntMatrix as sparse columns {col: {row: value}}."""
     out = {}
-    for (i, j), v in sorted(m.data.items(), key=lambda e: e[0][::-1]):
+    for (i, j), v in m.data.items():
         out.setdefault(j, {})[i] = v
     return out
 
