@@ -157,12 +157,13 @@ def saddle_cobordism_map(cx: ChainComplex, arc1: int, arc2: int) -> ChainMap:
     try:
         dst = assemble_complex(build_cube(surgered, cx.cube.theory))
         aux = build_cube(banded, cx.cube.theory)
-        sigma = _face_sigmas(aux, ((f, k) for f, k in aux.face_keys() if f[2] == site))
+        sigma = _face_sigmas(aux, ((alpha, c, site) for alpha, c in cx.cube.edges()))
     except AssertionError as e:
         raise ValueError(f"no planar band from {arc1} to {arc2}: {e}") from e
+    n = cx.cube.n
 
     def ratio(alpha, c):
-        return -sigma[alpha, c, site] * cx.signs[alpha, c] * dst.signs[alpha, c]
+        return -sigma[alpha, c, site] * cx.signs[alpha * n + c] * dst.signs[alpha * n + c]
 
     band = _vertex_signs(cx.cube.vertices(), ratio)
     for alpha, c in cx.cube.edges():
@@ -288,7 +289,7 @@ def _finish(cx_big: ChainComplex, pairs, cx_small: ChainComplex, translate):
     def ratio(alpha, c):
         beta = alpha | 1 << c
         coeff, out = cx_small.cube.edge_terms(alpha, c, 0)[0]
-        small_val = cx_small.signs[alpha, c] * coeff
+        small_val = cx_small.signs[alpha * cx_small.cube.n + c] * coeff
         _, x = to_big[alpha, 0]
         _, y = to_big[beta, out]
         big_val = diff.get((x, y), 0)
@@ -614,8 +615,9 @@ def relabel_chain_iso(cxa: ChainComplex, cxb: ChainComplex, arc_map: dict) -> Ch
 
     def ratio(alpha, c):
         beta = alpha | 1 << c
-        left = compose_tqft(vmaps[beta], cxa.cube.edge_map(alpha, c)).scale(cxa.signs[alpha, c])
-        right = compose_tqft(cxb.cube.edge_map(alpha, c), vmaps[alpha]).scale(cxb.signs[alpha, c])
+        e = alpha * cxa.cube.n + c
+        left = compose_tqft(vmaps[beta], cxa.cube.edge_map(alpha, c)).scale(cxa.signs[e])
+        right = compose_tqft(cxb.cube.edge_map(alpha, c), vmaps[alpha]).scale(cxb.signs[e])
         mask = next(m for m, terms in sorted(left.columns.items()) if terms)
         coeff_l, out_l = left.columns[mask][0]
         coeff_r = next(v for v, o in right.columns[mask] if o == out_l)

@@ -40,8 +40,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .cube import Cube, _first_failing_face, _first_wrong_table, solve_sign_assignment
-from .linalg import IntMatrix, _divisors, _sparse_rows, elementary_divisors, integer_cokernel, integer_kernel, solve_integer
+from .cube import Cube, _first_failing_face, _first_wrong_table, _solved_signs
+from .linalg import (
+    IntMatrix,
+    _divisors,
+    _products_vanish,
+    _sparse_rows,
+    elementary_divisors,
+    integer_cokernel,
+    integer_kernel,
+    solve_integer,
+)
 from .oddtqft import monomial_order
 
 __all__ = [
@@ -74,9 +83,11 @@ class ChainComplex:
     generator (alpha, mask) is alpha's start plus the mask's rank;
     ``basis(h)`` builds the (vertex, mask) pairs on demand.  Each
     generator has a quantum degree, which the differential preserves.
-    Differentials given to the constructor are kept as given; an
-    assembled complex places each d_h on the first ``differential(h)``
-    call and keeps it (see ``assemble_complex``).
+    ``signs`` holds the edge signs as one flat list, edge (alpha, c) at
+    ``alpha * n + c`` (see ``cube._canonical_signs``).  Differentials
+    given to the constructor are kept as given; an assembled complex
+    places each d_h on the first ``differential(h)`` call and keeps it
+    (see ``assemble_complex``).
     """
 
     __slots__ = (
@@ -84,7 +95,7 @@ class ChainComplex:
         "_blocks",
     )
 
-    def __init__(self, cube: Cube, signs: dict, runs: dict, qdeg: dict, diff: dict | None = None):
+    def __init__(self, cube: Cube, signs: list, runs: dict, qdeg: dict, diff: dict | None = None):
         self.cube = cube
         self.signs = signs
         self.n_minus = cube.diagram.n_minus
@@ -143,10 +154,14 @@ class ChainComplex:
 def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     """Flatten a cube along a coherent edge-sign choice.
 
-    With no signs given the canonical assignment is used.  Assembly lays
-    out the chain groups as one run per vertex and runs the cube-level
-    gates of ``_validate`` (d squared vanishes face by face, every shape
-    table is its saddle map), but builds no differential.  The reader
+    With no signs given the canonical assignment is used, as the flat
+    list of the walk that builds it (``cube._solved_signs``), which has
+    checked d squared on every face as it went; no second face walk
+    runs.  Signs given as a dict {(alpha, c): sign} pass the face gate
+    ``cube._first_failing_face`` and are then kept as the flat list.
+    Assembly lays out the chain groups as one run per vertex and runs
+    the gates of ``_validate`` (every shape table is its saddle map),
+    but builds no differential.  The reader
     decides what ``_place`` writes from the edge tables, and
     ``_check_entries`` reads back every placement:
 
@@ -161,8 +176,16 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     touches every ``differential(h)``, as perfbench's traced assembly
     probe does, builds all the full matrices.
     """
+    n = cube.n
     if signs is None:
-        signs = solve_sign_assignment(cube)
+        eps = _solved_signs(cube)
+    else:
+        face = _first_failing_face(cube, signs)
+        if face is not None:
+            raise AssertionError(f"d^2 != 0 on face {face}")
+        eps = [0] * (n << n)
+        for alpha, c in cube.edges():
+            eps[alpha * n + c] = signs[alpha, c]
     nm = cube.diagram.n_minus
     shift_q = cube.diagram.n_plus - 2 * nm
     runs: dict[int, list] = {}
@@ -174,7 +197,7 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
         top = circles + alpha.bit_count() + shift_q
         qdeg.setdefault(h, []).extend(top - 2 * m.bit_count() for m in monomial_order(circles)[0])
     qdeg = {h: tuple(v) for h, v in qdeg.items()}
-    cx = ChainComplex(cube, dict(signs), runs, qdeg)
+    cx = ChainComplex(cube, eps, runs, qdeg)
     _validate(cx)
     return cx
 
@@ -214,6 +237,7 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple, key, at: dict) -> di
                 alpha, start, order, _ = next(runs)
                 end = start + len(order)
             out = []
+            edge = alpha * cube.n
             for k in range(cube.n):
                 if alpha >> k & 1:
                     continue
@@ -222,7 +246,7 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple, key, at: dict) -> di
                 if place is None:
                     _, base, _, rank = targets[run_of[beta]]
                     place = at[beta] = [dst_pos[base + r] for r in rank]
-                out.append((signs[alpha, k], place, cube.edge_table(alpha, k)))
+                out.append((signs[edge + k], place, cube.edge_table(alpha, k)))
         mask = order[j - start]
         column = {}
         for e, place, table in out:
@@ -235,26 +259,22 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple, key, at: dict) -> di
 
 
 def _validate(c: ChainComplex) -> None:
-    """Raise AssertionError unless the complex is the signed cube, with d^2 = 0.
+    """Raise AssertionError unless the complex is the signed cube.
 
-    Two cube-level gates, neither of which multiplies differentials:
-
-    - d^2 vanishes on every face (``cube._first_failing_face``): the
-      two path composites agree up to the face's sign on every monomial,
-      once per face key and cube, and the signs have the right parity on
-      each face, one product per face;
-    - every shape table equals the merge or split map built from its
-      circles (``cube._first_wrong_table``), once per shape and cube.
-
-    Then every differential the complex holds passes the entry gate
+    The face gate has run before, once per face, in the walk that built
+    the signs or on the given ones (see ``assemble_complex``): the two
+    path composites agree up to the face's sign on every monomial, once
+    per face key and cube, and the signs have the right parity on each
+    face.  Here every shape table must equal the merge or split map
+    built from the circles of an edge of its shape
+    (``cube._first_wrong_table``), once per shape and cube, and every
+    differential the complex holds must pass the entry gate
     (``_check_entries``), which also reads each later placement.
-    Together the first gate and the entry gate give d^2 = 0 for the
-    matrices themselves.
+    Together the face gate and the entry gate give d^2 = 0 for the
+    matrices themselves, and none of these gates multiplies
+    differentials.
     """
     cube = c.cube
-    face = _first_failing_face(cube, c.signs)
-    if face is not None:
-        raise AssertionError(f"d^2 != 0 on face {face}")
     edge = _first_wrong_table(cube)
     if edge is not None:
         raise AssertionError(f"edge table differs from its saddle map at edge {edge}")
@@ -298,7 +318,7 @@ def _check_entries(c: ChainComplex, h: int, src: tuple, dst: tuple, key, columns
             for k in range(cube.n):
                 if not alpha >> k & 1:
                     _, base, _, rank = targets[run_of[alpha | 1 << k]]
-                    edges.append((c.signs[alpha, k], cube.edge_table(alpha, k), base, rank))
+                    edges.append((c.signs[alpha * cube.n + k], cube.edge_table(alpha, k), base, rank))
         mask = basis[j - start]
         # The member's image, by target generator.
         image = {base + rank[m]: e * coeff for e, table, base, rank in edges for coeff, m in table[mask]}
@@ -598,11 +618,13 @@ def zero_chain_map(src: ChainComplex, dst: ChainComplex, q_shift: int = 0) -> Ch
 
 
 def is_chain_map(f: ChainMap) -> bool:
-    """Whether the blocks commute with both differentials."""
+    """Whether the blocks commute with both differentials.
+
+    d f - f d is summed degree by degree into one dict of entries
+    (``linalg._products_vanish``); no product matrix is built.
+    """
     for h in f.src.degrees():
-        left = f.dst.differential(h) * f.block(h)
-        right = f.block(h + 1) * f.src.differential(h)
-        if left != right:
+        if not _products_vanish((1, f.dst.differential(h), f.block(h)), (-1, f.block(h + 1), f.src.differential(h))):
             return False
     return True
 
@@ -732,7 +754,7 @@ class HomologyPresentation:
     __slots__ = ("orders", "_outgoing", "_coords", "_gens")
 
     def __init__(self, incoming: IntMatrix, outgoing: IntMatrix):
-        if not (outgoing * incoming).is_zero():
+        if not _products_vanish((1, outgoing, incoming)):
             raise AssertionError("incoming image must land in the kernel")
         kernel, left = integer_kernel(outgoing)
         orders, coords, gens = integer_cokernel(left * incoming)

@@ -3,9 +3,10 @@
 Vertices carry exterior state spaces, edges carry merge or split maps,
 and square faces are sorted into the ten shapes that determine how the
 two paths around them compare.  The canonical coherent edge signs are
-built in one walk down the cube, with a spanning tree at +1; GF(2)
-elimination remains to enumerate every coherent choice and to complete
-pinned ones.  Gradings and differentials live one level up.
+built in one walk down the cube, with a spanning tree at +1, as one
+flat list read by edge index ``alpha * n + c``; GF(2) elimination
+remains to enumerate every coherent choice and to complete pinned ones.
+Gradings and differentials live one level up.
 
 An edge map depends only on its shape: where each source generator
 lands in the target space and, for a split, where the two offspring
@@ -17,21 +18,25 @@ order of a hundred shapes.
 A face is fixed by the shapes of its four edges, its key, in the same
 way: both path composites are products of the four tables, and the
 circles each base edge touches (a merge's fused pair, a split's parent)
-can be read off the base shapes.  So each key is classified once, and
-once per cube its two composites are compared on every monomial of the
-base space (``_key_sign``); with the sign parity of each face
-(``_first_failing_face``) this is d^2 = 0, without multiplying
-differentials.  The exception is the vanishing-path shapes vi and x,
-whose sign is the geometric chirality of the two bands: those faces are
-classified one by one.  Each shape table is also compared once with
-the merge or split map built from the circles of one of its edges
-(``_first_wrong_table``).  A 10-crossing cube has 11,520 faces and on
-the order of a thousand keys.
+can be read off the base shapes.  So each key's two composites are
+compared once per cube on every monomial of the base space
+(``_key_sign``), and its first face must classify to that sign; with
+the sign parity of each face this is d^2 = 0, without multiplying
+differentials.  One helper gives a face its sign (``_face_sign``), and
+the canonical walk checks each face's parity as it goes, so a complex
+assembled with the canonical signs checks each face once.  The
+exception is the vanishing-path shapes vi and x, whose sign is the
+geometric chirality of the two bands: those faces are classified one
+by one.  Each shape table is also compared once with the merge or
+split map built from the circles of an edge of that shape, the second
+one seen where there is one (``_first_wrong_table``).  A 10-crossing
+cube has 11,520 faces and on the order of a thousand keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .linalg import solve_gf2
 from .linkdiag import LinkDiagram, Resolution, resolve, transit_side
@@ -108,10 +113,10 @@ class Cube:
         # Shape id of edge (alpha, c) at alpha * n + c, -1 until seen.
         self._edge_ids = [-1] * (self.n << self.n)
         self._shapes: dict[tuple, int] = {}
-        # Per shape id: its table, the first edge seen with it, and
+        # Per shape id: its table, the first two edges seen with it, and
         # (below _gated) whether the table passed _first_wrong_table.
         self._tables: list[tuple] = []
-        self._sites: list[tuple[int, int]] = []
+        self._sites: list[list[tuple[int, int]]] = []
         self._gated = 0
         # Per face key: the sign its paths commute with on every
         # monomial (_key_sign), None for vanishing-path keys.
@@ -200,7 +205,8 @@ class Cube:
         their key, so a circle's index in its resolution is its
         generator's position in the space: the shape is read off the
         two resolutions (``_correspondence``), and ``edge`` runs only to
-        build the table of a shape not seen before.
+        build the table of a shape not seen before.  The second edge seen
+        with a shape is kept for the table gate.
         """
         i = self._edge_ids[alpha * self.n + c]
         if i < 0:
@@ -210,7 +216,9 @@ class Cube:
                 i = self._shapes[shape] = len(self._tables)
                 beta = alpha | 1 << c
                 self._tables.append(_edge_columns(self.space(alpha), self.space(beta), self.edge(alpha, c)))
-                self._sites.append((alpha, c))
+                self._sites.append([(alpha, c)])
+            elif len(self._sites[i]) == 1:
+                self._sites[i].append((alpha, c))
             self._edge_ids[alpha * self.n + c] = i
         return i
 
@@ -223,6 +231,14 @@ class Cube:
         """
         return self._tables[self.edge_shape(alpha, c)]
 
+    def edge_ids(self) -> list:
+        """Every edge's shape id at ``alpha * n + c``, shaped in ``edges`` order."""
+        n, ids = self.n, self._edge_ids
+        for alpha, c in self.edges():
+            if ids[alpha * n + c] < 0:
+                self.edge_shape(alpha, c)
+        return ids
+
     def face_keys(self):
         """Every face, in ``faces`` order, with its key.
 
@@ -231,10 +247,7 @@ class Cube:
         ``(alpha, c2)`` then ``(alpha + c2, c1)``.
         """
         n = self.n
-        ids = self._edge_ids
-        for alpha, c in self.edges():
-            if ids[alpha * n + c] < 0:
-                self.edge_shape(alpha, c)
+        ids = self.edge_ids()
         for alpha in range(1 << n):
             base = alpha * n
             for c1 in range(n):
@@ -434,37 +447,52 @@ def _key_sign(cube: Cube, alpha: int, c1: int, c2: int):
     return sigma
 
 
-def _face_sigmas(cube: Cube, faces) -> dict:
-    """The path-comparison sign of each (face, key) pair, classified once per key.
+_REFUSAL = "no coherent edge signs exist"
 
-    The sign solvers pass every face (``Cube.face_keys``), a saddle only
-    those through its band site.  The first face of each key is
-    classified, and the key's sign is measured on every monomial
-    (``_key_sign``), the d^2 check of all faces of that key; the others
-    take that sign, and the first keeps its own classification, so a
-    face classified against its paths fails the face check of
-    ``_canonical_signs`` and leaves the system of ``_gf2_signs`` without
-    solution.  Vanishing-path faces (shapes vi and x) keep their
+
+def _face_sign(cube: Cube, alpha: int, c1: int, c2: int) -> int:
+    """The path-comparison sign of face (alpha, c1, c2), c1 < c2, classified once per key.
+
+    The key is read off the shape ids of the four edges, which must all
+    be known (``Cube.edge_ids``).  The first face of a key has its key's
+    sign measured on every monomial (``_key_sign``), the d^2 check of
+    all faces of that key, which raises AssertionError when no sign
+    fits; the face must also classify to that sign, or the signs are
+    refused with ValueError.  The other faces of the key take the
+    cached sign.  Vanishing-path faces (shapes vi and x) keep their
     geometric sign, classified one by one.  So ``classify_face`` runs
     once per key plus once per vi/x face after the first of its key.
     """
+    n, ids = cube.n, cube._edge_ids
+    base = alpha * n
+    key = (ids[base + c1], ids[(alpha | 1 << c1) * n + c2], ids[base + c2], ids[(alpha | 1 << c2) * n + c1])
     known = cube._face_sigma
-    out = {}
-    for face, key in faces:
-        s = known.get(key)
-        if s is None:
-            if key not in known:
-                s = _key_sign(cube, *face)
-                if s == 0:
-                    raise AssertionError(f"d^2 != 0 on face {face}")
-                known[key] = s
-            s = classify_face(cube, *face).sigma
-        out[face] = s
-    return out
+    s = known.get(key, 0)
+    if s == 0:
+        s = _key_sign(cube, alpha, c1, c2)
+        if s == 0:
+            raise AssertionError(f"d^2 != 0 on face {(alpha, c1, c2)}")
+        known[key] = s
+        if s is not None and classify_face(cube, alpha, c1, c2).sigma != s:
+            raise ValueError(_REFUSAL)
+    return classify_face(cube, alpha, c1, c2).sigma if s is None else s
+
+
+def _face_sigmas(cube: Cube, faces) -> dict:
+    """The sign (``_face_sign``) of each face (alpha, c1, c2), c1 < c2.
+
+    A saddle passes the faces through its band site, and the GF(2)
+    system every face.
+    """
+    cube.edge_ids()
+    return {f: _face_sign(cube, *f) for f in faces}
 
 
 def _first_failing_face(cube: Cube, eps: dict):
     """The first face on which d^2 fails for edge signs ``eps``, or None.
+
+    The gate for signs given as a dict; the canonical walk
+    (``_canonical_signs``) checks its own faces as it sets them.
 
     On one face d^2 is path1 * p1 + path2 * p2, with pathk the product
     of the signs along path k and pk its composite.  Where pk is not
@@ -495,11 +523,12 @@ def _first_wrong_table(cube: Cube):
 
     Each shape table not yet gated is compared, column by column, with
     ``merge_map`` or ``split_map`` built from the circle correspondence
-    of the first edge seen with that shape; a table that passes is not
-    compared again.
+    of the second edge seen with that shape, or of the edge that built
+    the table when the cube has no other, so the shape key must fix the
+    map; a table that passes is not compared again.
     """
     while cube._gated < len(cube._tables):
-        alpha, c = cube._sites[cube._gated]
+        alpha, c = cube._sites[cube._gated][-1]
         e = cube.edge(alpha, c)
         src, dst = cube.space(alpha), cube.space(alpha | 1 << c)
         if e.kind == "merge":
@@ -513,32 +542,53 @@ def _first_wrong_table(cube: Cube):
     return None
 
 
-def _canonical_signs(cube: Cube, sigma: dict, refusal: str) -> dict:
-    """The canonical coherent signs for face signs ``sigma``, in ``edges`` order.
+def _canonical_signs(cube: Cube, sign, refusal: str) -> list:
+    """The canonical coherent signs for face signs ``sign(alpha, c1, c2)``.
 
-    One walk down the cube; see ``solve_sign_assignment`` for why the
-    result is canonical.  Every vertex alpha but the top has a highest
+    One walk down the cube, once every edge is shaped in ``edges`` order
+    (``Cube.edge_ids``); see ``solve_sign_assignment`` for why the
+    result is canonical.  The signs come as one flat list, edge (alpha,
+    c) at ``alpha * n + c`` as in ``Cube._edge_ids``, 0 where c is
+    resolved at alpha.  Every vertex alpha but the top has a highest
     unresolved crossing h, and the tree edge (alpha, h) reads +1.  Any
     other unresolved c < h closes the face (alpha, c, h), whose edge
     (alpha + c, h) is a tree edge and whose edge (alpha + h, c) sits
-    higher up, so it was set earlier in the walk.  Every face is then
-    checked: with the tree at +1 the walk gives the only candidate.
+    higher up, so it was set earlier in the walk; that face then holds
+    by construction.  Every other face based at alpha has all four
+    edges set once alpha is done, and is checked there, so each face's
+    sign is read once; with the tree at +1 the walk gives the only
+    candidate, and a face that fails refuses it with ValueError.
     """
-    eps: dict[tuple[int, int], int] = {}
-    full = (1 << cube.n) - 1
+    n = cube.n
+    cube.edge_ids()
+    eps = [0] * (n << n)
+    full = (1 << n) - 1
     for alpha in range(full - 1, -1, -1):
         h = (full ^ alpha).bit_length() - 1
-        up = alpha | 1 << h
-        eps[alpha, h] = 1
-        for c in range(h):
-            if not alpha >> c & 1:
-                eps[alpha, c] = -sigma[alpha, c, h] * eps[up, c]
-    for (alpha, c1, c2), s in sigma.items():
-        path1 = eps[alpha, c1] * eps[alpha | 1 << c1, c2]
-        path2 = eps[alpha, c2] * eps[alpha | 1 << c2, c1]
-        if path1 * path2 * s != -1:
-            raise ValueError(refusal)
-    return {e: eps[e] for e in cube.edges()}
+        base, up = alpha * n, (alpha | 1 << h) * n
+        eps[base + h] = 1
+        free = [c for c in range(h) if not alpha >> c & 1]
+        for c in free:
+            eps[base + c] = -sign(alpha, c, h) * eps[up + c]
+        for i, c1 in enumerate(free):
+            first, up1 = eps[base + c1], (alpha | 1 << c1) * n
+            for c2 in free[i + 1:]:
+                path1 = first * eps[up1 + c2]
+                path2 = eps[base + c2] * eps[(alpha | 1 << c2) * n + c1]
+                if path1 * path2 * sign(alpha, c1, c2) != -1:
+                    raise ValueError(refusal)
+    return eps
+
+
+def _signs_dict(cube: Cube, eps: list) -> dict:
+    """Flat signs (see ``_canonical_signs``) as {(alpha, c): sign}, in ``edges`` order."""
+    n = cube.n
+    return {(alpha, c): eps[alpha * n + c] for alpha, c in cube.edges()}
+
+
+def _solved_signs(cube: Cube) -> list:
+    """The canonical signs of ``solve_sign_assignment`` as the flat list."""
+    return _canonical_signs(cube, partial(_face_sign, cube), _REFUSAL)
 
 
 def _gf2_signs(cube: Cube, pinned: dict) -> tuple:
@@ -552,7 +602,7 @@ def _gf2_signs(cube: Cube, pinned: dict) -> tuple:
     # Product of the four edge signs must be -sigma: as bits, the row
     # sums to 1 exactly when sigma is +1.
     rows, rhs = [], []
-    for (alpha, c1, c2), sigma in _face_sigmas(cube, cube.face_keys()).items():
+    for (alpha, c1, c2), sigma in _face_sigmas(cube, cube.faces()).items():
         row = 0
         for e in face_edges(alpha, c1, c2):
             row |= 1 << index[e]
@@ -577,12 +627,13 @@ def solve_sign_assignment(cube: Cube) -> dict:
     +1 fixes them.  Under lowest-bit elimination the free variables are
     the edges that are the highest edge some gauge flips, and those form
     the maximum spanning tree by edge index: each vertex's edge along
-    its highest unresolved crossing.  Each face key is classified once
-    (``_face_sigmas``), and ``_canonical_signs`` sets that tree to +1,
-    fills in the other edges face by face and checks every face, in
-    time linear in the number of faces.
+    its highest unresolved crossing.  ``_canonical_signs`` sets that tree
+    to +1, fills in the other edges face by face and checks every face
+    once, reading each face's sign from ``_face_sign``, in time linear
+    in the number of faces.  A face that classifies against its key's
+    measured sign, or any face that fails, refuses with ValueError.
     """
-    return _canonical_signs(cube, _face_sigmas(cube, cube.face_keys()), "no coherent edge signs exist")
+    return _signs_dict(cube, _solved_signs(cube))
 
 
 def enumerate_sign_assignments(cube: Cube) -> list[dict]:
@@ -618,19 +669,23 @@ def arrow_flipped_signs(cube: Cube, reversed_crossings) -> dict:
     The canonical signs (see ``solve_sign_assignment``) for the flipped
     face signs are found and the negations folded back in, so assembling
     with the result over the unchanged edge maps yields the reoriented
-    theory's differential.
+    theory's differential.  The flip enters the walk as one parity per
+    face, the number of negated edges among its four.
     """
     flip = set(reversed_crossings)
-    # _face_sigmas runs edge_shape, and with it the edge checks,
-    # on every edge; a split is then an edge that adds a circle.
-    sigma = _face_sigmas(cube, cube.face_keys())
+    # The walk shapes every edge before it reads a face, and with that
+    # runs the edge checks; a split is then an edge that adds a circle.
     circles = [cube.resolution(alpha).n_circles for alpha in cube.vertices()]
-    negated = {(a, c) for a, c in cube.edges() if c in flip and circles[a | 1 << c] > circles[a]}
-    for f in sigma:
-        if len(negated.intersection(face_edges(*f))) % 2:
-            sigma[f] = -sigma[f]
-    eps = _canonical_signs(cube, sigma, "no coherent edge signs exist for the flipped arrows")
-    return {e: -v if e in negated else v for e, v in eps.items()}
+
+    def negated(alpha, c):
+        return c in flip and circles[alpha | 1 << c] > circles[alpha]
+
+    def sign(alpha, c1, c2):
+        s = _face_sign(cube, alpha, c1, c2)
+        return -s if sum(negated(a, c) for a, c in face_edges(alpha, c1, c2)) & 1 else s
+
+    eps = _canonical_signs(cube, sign, "no coherent edge signs exist for the flipped arrows")
+    return {(a, c): -v if negated(a, c) else v for (a, c), v in _signs_dict(cube, eps).items()}
 
 
 def extend_sign_assignment(cube: Cube, pinned: dict) -> dict:

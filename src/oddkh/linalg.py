@@ -182,6 +182,28 @@ class IntMatrix:
         return IntMatrix(len(row_idx), len(col_idx), entries)
 
 
+def _products_vanish(*terms) -> bool:
+    """Whether a signed sum of products, s * A * B summed over (s, A, B) terms, is zero.
+
+    Every term is accumulated into one dict of entries, so no product
+    matrix is built.  Factors that do not multiply, or a product of
+    another shape than the first, raise ValueError as ``__mul__`` does.
+    """
+    shape = None
+    acc: dict[tuple[int, int], int] = {}
+    for s, a, b in terms:
+        if a.cols != b.rows or shape not in (None, (a.rows, b.cols)):
+            raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
+        shape = a.rows, b.cols
+        right_rows: dict[int, list[tuple[int, int]]] = {}
+        for (r, c), v in b.data.items():
+            right_rows.setdefault(r, []).append((c, v))
+        for (r, k), v in a.data.items():
+            for c, w in right_rows.get(k, ()):
+                acc[r, c] = acc.get((r, c), 0) + s * v * w
+    return not any(acc.values())
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """Smith normal form U*A*V = D with U, V unimodular.

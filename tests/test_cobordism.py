@@ -206,8 +206,9 @@ def pinned_band_signs(cx, a, b):
     try:
         dst = cx_of(smooth_crossings(banded, {site: 1}), theory)
         aux = build_cube(banded, theory)
-        pins = {e: v for e, v in cx.signs.items()}
-        pins.update({(alpha | 1 << site, c): v for (alpha, c), v in dst.signs.items()})
+        n = cx.cube.n
+        pins = {(alpha, c): cx.signs[alpha * n + c] for alpha, c in cx.cube.edges()}
+        pins.update({(alpha | 1 << site, c): dst.signs[alpha * n + c] for alpha, c in dst.cube.edges()})
         eps = extend_sign_assignment(aux, pins)
     except (AssertionError, ValueError):
         return None

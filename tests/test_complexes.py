@@ -299,6 +299,47 @@ def test_assembled_complex_takes_under_150_bytes_per_generator():
     assert held / gens < 150
 
 
+def test_assembly_peaks_under_150_bytes_per_generator():
+    # The sign walk keeps one flat list and checks each face once.
+    d = rational_knot((3, 3, 4))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cx = assemble_complex(build_cube(d, "x"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gens = sum(cx.dim(h) for h in cx.degrees())
+    assert gens == 18570
+    assert peak / gens < 150
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_canonical_assembly_walks_the_faces_once(monkeypatch, theory):
+    def second_walk(*args):
+        raise AssertionError("a second face walk ran")
+
+    for name, diagram in named_diagrams(6):
+        monkeypatch.setattr(complexes_module, "_first_failing_face", second_walk)
+        cx = assemble_complex(build_cube(diagram, theory))
+        monkeypatch.undo()
+        cube = build_cube(diagram, theory)
+        given = assemble_complex(cube, solve_sign_assignment(cube))
+        assert cx.signs == given.signs, name
+        for h in cx.degrees():
+            assert cx.differential(h) == given.differential(h), (name, h)
+
+
+def test_given_signs_with_one_edge_negated_are_refused():
+    for code in (TREFOIL, FIG8):
+        cube = build_cube(parse_pd(code))
+        eps = solve_sign_assignment(cube)
+        edge = next(iter(eps))
+        eps[edge] = -eps[edge]
+        with pytest.raises(AssertionError, match=r"d\^2 != 0 on face"):
+            assemble_complex(cube, eps)
+
+
 def test_homology_stage_peaks_under_100_bytes_per_generator():
     # Above the assembled complex, the homology stage holds one placed
     # block of the marked half at a time.
@@ -363,6 +404,22 @@ def test_entry_gate_refuses_mutated_marked_blocks(mutation, code):
     assert changed
 
 
+def test_entry_gate_refuses_an_entry_in_a_block_of_another_q():
+    # Every entry equals its image term; only the quantum degree of one
+    # target, moved by hand, puts it in a block of the wrong q.
+    cx = assemble_complex(build_cube(parse_pd(TREFOIL)))
+    h = next(h for h in cx.degrees() if h + 1 in cx.degrees())
+    src, dst = complexes_module._one_block(cx.dim(h)), complexes_module._one_block(cx.dim(h + 1))
+    columns = complexes_module._place(cx, h, src, dst, 0, {})
+    i = next(r for column in columns.values() for r in column)
+    qdeg = dict(cx._qdeg)
+    qdeg[h + 1] = tuple(q + 2 if k == i else q for k, q in enumerate(qdeg[h + 1]))
+    runs = {k: [(alpha, cx.cube.space(alpha).k) for alpha, *_ in r] for k, r in cx._runs.items()}
+    moved = ChainComplex(cx.cube, cx.signs, runs, qdeg)
+    with pytest.raises(AssertionError, match="changes quantum degree"):
+        complexes_module._check_entries(moved, h, src, dst, 0, columns)
+
+
 @pytest.mark.parametrize("where", ["past", "negative", "column"])
 def test_entry_gate_refuses_an_entry_outside_its_block(where):
     # No IntMatrix range check runs on the marked path, so the gate itself
@@ -402,7 +459,7 @@ def columns_of(m):
 
 def assert_marked_blocks_match_reference(cube):
     cx = assemble_complex(cube)
-    _, _, diff = reference_assembly(cube, cx.signs)
+    _, _, diff = reference_assembly(cube, solve_sign_assignment(cube))
     lay = complexes_module._marked_layout(cx)
     for h in cx.degrees():
         if h + 1 in lay:
@@ -444,7 +501,7 @@ def test_homology_builds_no_full_differential(read):
         cx = assemble_complex(cube)
         homology(cx) if read == "homology" else reduce_coefficients(cx, 2)
         assert not cx._diff, name
-        _, _, diff = reference_assembly(cube, cx.signs)
+        _, _, diff = reference_assembly(cube, solve_sign_assignment(cube))
         for h in cx.degrees():
             assert cx.differential(h) == diff.get(h, IntMatrix.zero(cx.dim(h + 1), cx.dim(h))), (name, h)
 
@@ -505,6 +562,26 @@ def test_two_assignments_differ_by_a_diagonal_isomorphism():
     assert is_chain_map(f)
     g = ChainMap(c2, c1, blocks)
     assert equal_up_to_sign(compose(g, f), identity_chain_map(c1)) == 1
+
+
+def test_chain_map_gate_builds_no_product(monkeypatch):
+    cx = assemble_complex(build_cube(parse_pd(FIG8)))
+    f = dot_cobordism_map(cx, min(cx.cube.diagram.arcs))
+    for h in cx.degrees():
+        cx.differential(h)
+    h, m = min(f.blocks.items())
+    (i, j), v = next(iter(m.data.items()))
+    broken = ChainMap(cx, cx, {**f.blocks, h: IntMatrix(m.rows, m.cols, {**m.data, (i, j): -v})}, f.q_shift)
+
+    def product(*args):
+        raise AssertionError("a product matrix was built")
+
+    monkeypatch.setattr(IntMatrix, "__mul__", product)
+    assert is_chain_map(f)
+    assert not is_chain_map(broken)
+    broken.blocks[h] = IntMatrix(m.rows + 1, m.cols)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        is_chain_map(broken)
 
 
 def test_chain_map_plumbing():

@@ -15,7 +15,7 @@ from oddkh.cube import (
     solve_sign_assignment,
 )
 from oddkh.complexes import assemble_complex
-from oddkh.fixtures import braid_closure, prime_knot, rational_knot
+from oddkh.fixtures import braid_closure, hopf_link, prime_knot, rational_knot
 from oddkh.linalg import solve_gf2
 from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd
 from oddkh.oddtqft import compose, merge_map, split_map
@@ -152,7 +152,7 @@ def per_face_sigmas(cube):
 def test_keyed_face_sigmas_match_classify_face_on_corpus(theory):
     for name, diagram in named_diagrams(8):
         cube = build_cube(diagram, theory)
-        assert cube_module._face_sigmas(cube, cube.face_keys()) == per_face_sigmas(cube), name
+        assert cube_module._face_sigmas(cube, cube.faces()) == per_face_sigmas(cube), name
 
 
 def test_classify_face_runs_once_per_key_and_per_vanishing_face(monkeypatch):
@@ -175,6 +175,47 @@ def test_classify_face_runs_once_per_key_and_per_vanishing_face(monkeypatch):
     expected = len(set(keys.values())) + len(vanishing) - len(vanishing_keys)
     assert len(calls) == expected < len(keys) // 3
     assert set(vanishing) <= set(calls)
+
+
+def test_solver_refuses_a_face_classified_against_its_key(monkeypatch):
+    # The first face of each key must classify to the key's measured
+    # sign: the canonical walk is the only face check of assembly.
+    original = cube_module.classify_face
+
+    def negated(*args):
+        face = original(*args)
+        return cube_module.FaceClass(face.tag, -face.sigma)
+
+    monkeypatch.setattr(cube_module, "classify_face", negated)
+    with pytest.raises(ValueError, match="no coherent edge signs exist"):
+        solve_sign_assignment(build_cube(hopf_link(1)))
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_table_gate_reads_the_second_edge_of_each_shape(theory):
+    for name, diagram in named_diagrams(6):
+        cube = build_cube(diagram, theory)
+        ids = cube.edge_ids()
+        seen = {}
+        for alpha, c in cube.edges():
+            seen.setdefault(ids[alpha * cube.n + c], []).append((alpha, c))
+        assert cube._sites == [seen[i][:2] for i in range(len(seen))], name
+        assert cube_module._first_wrong_table(cube) is None, name
+
+
+def test_table_gate_refuses_a_shape_key_that_does_not_fix_its_table():
+    # Hand the edge of another merge shape on the same source space to a
+    # shape as its second edge: the table built from the first edge is
+    # not that edge's merge map.
+    cube = build_cube(prime_knot("8_19"))
+    cube.edge_ids()
+    merges = [i for i, sites in enumerate(cube._sites) if cube.edge(*sites[0]).kind == "merge"]
+    i, j = next(
+        (i, j) for i in merges for j in merges
+        if len(cube._tables[i]) == len(cube._tables[j]) and cube._tables[i] != cube._tables[j]
+    )
+    cube._sites[i] = [cube._sites[i][0], cube._sites[j][0]]
+    assert cube_module._first_wrong_table(cube) == cube._sites[j][0]
 
 
 def test_trefoil_base_faces_are_merge_chains():
@@ -380,7 +421,7 @@ _small_diagrams = st.one_of(
 @given(_small_diagrams, st.sampled_from(["x", "y"]))
 def test_keyed_face_sigmas_match_classify_face_on_random_diagrams(diagram, theory):
     cube = build_cube(diagram, theory)
-    assert cube_module._face_sigmas(cube, cube.face_keys()) == per_face_sigmas(cube)
+    assert cube_module._face_sigmas(cube, cube.faces()) == per_face_sigmas(cube)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oddkh.linalg import (
     IntMatrix,
     _eliminate_units,
+    _products_vanish,
     _sparse_rows,
     elementary_divisors,
     integer_cokernel,
@@ -43,6 +44,27 @@ def test_matrix_rejects_bad_shapes():
         IntMatrix.from_rows([[1, 2]]) * IntMatrix.from_rows([[1, 2]])
     with pytest.raises(ValueError):
         IntMatrix(2, 2, {(2, 0): 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_products_vanish_matches_the_product_matrices(rows, inner, cols, rnd):
+    def random_matrix(r, c):
+        return IntMatrix(r, c, {(i, j): rnd.randint(-2, 2) for i in range(r) for j in range(c)})
+
+    a, b, c, d = random_matrix(rows, inner), random_matrix(inner, cols), random_matrix(rows, 2), random_matrix(2, cols)
+    assert _products_vanish((1, a, b), (-1, c, d)) is (a * b == c * d)
+    assert _products_vanish((1, a, b), (-1, a, b))
+    assert _products_vanish((2, a, b), (-1, a, b), (-1, a, b))
+    assert _products_vanish((1, a, b)) is (a * b).is_zero()
+
+
+def test_products_vanish_refuses_mismatched_shapes():
+    a = IntMatrix.from_rows([[1, 2]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _products_vanish((1, a, a))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _products_vanish((1, a, a.transpose()), (1, a.transpose(), a))
 
 
 def test_snf_known_diagonal():
