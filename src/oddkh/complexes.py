@@ -41,16 +41,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .cube import Cube, _first_failing_face, _first_wrong_table, _solved_signs
-from .linalg import (
-    IntMatrix,
-    _divisors,
-    _products_vanish,
-    _sparse_rows,
-    elementary_divisors,
-    integer_cokernel,
-    integer_kernel,
-    solve_integer,
-)
+from .linalg import IntMatrix, _divisors, _products_vanish, _sparse_rows, elementary_divisors, integer_cokernel, integer_kernel, solve_integer
 from .oddtqft import monomial_order
 
 __all__ = [
@@ -83,11 +74,10 @@ class ChainComplex:
     generator (alpha, mask) is alpha's start plus the mask's rank;
     ``basis(h)`` builds the (vertex, mask) pairs on demand.  Each
     generator has a quantum degree, which the differential preserves.
-    ``signs`` holds the edge signs as one flat list, edge (alpha, c) at
-    ``alpha * n + c`` (see ``cube._canonical_signs``).  Differentials
-    given to the constructor are kept as given; an assembled complex
-    places each d_h on the first ``differential(h)`` call and keeps it
-    (see ``assemble_complex``).
+    ``signs`` is one flat list, edge (alpha, c) at ``alpha * n + c``.
+    Differentials given to the constructor are kept as given; an
+    assembled complex places each d_h on the first ``differential(h)``
+    call and keeps it (see ``assemble_complex``).
     """
 
     __slots__ = (
@@ -154,14 +144,11 @@ class ChainComplex:
 def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     """Flatten a cube along a coherent edge-sign choice.
 
-    With no signs given the canonical assignment is used, as the flat
-    list of the walk that builds it (``cube._solved_signs``), which has
-    checked d squared on every face as it went; no second face walk
-    runs.  Signs given as a dict {(alpha, c): sign} pass the face gate
-    ``cube._first_failing_face`` and are then kept as the flat list.
+    With no signs given the canonical ones are used, from the walk that
+    checks d squared on each face as it builds them; given signs pass
+    ``cube._first_failing_face``.  Either way each face is checked once.
     Assembly lays out the chain groups as one run per vertex and runs
-    the gates of ``_validate`` (every shape table is its saddle map),
-    but builds no differential.  The reader
+    ``_validate``, but builds no differential.  The reader
     decides what ``_place`` writes from the edge tables, and
     ``_check_entries`` reads back every placement:
 
@@ -176,16 +163,13 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     touches every ``differential(h)``, as perfbench's traced assembly
     probe does, builds all the full matrices.
     """
-    n = cube.n
     if signs is None:
         eps = _solved_signs(cube)
     else:
         face = _first_failing_face(cube, signs)
         if face is not None:
             raise AssertionError(f"d^2 != 0 on face {face}")
-        eps = [0] * (n << n)
-        for alpha, c in cube.edges():
-            eps[alpha * n + c] = signs[alpha, c]
+        eps = [0 if alpha >> c & 1 else signs[alpha, c] for alpha in cube.vertices() for c in range(cube.n)]
     nm = cube.diagram.n_minus
     shift_q = cube.diagram.n_plus - 2 * nm
     runs: dict[int, list] = {}
@@ -237,7 +221,6 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple, key, at: dict) -> di
                 alpha, start, order, _ = next(runs)
                 end = start + len(order)
             out = []
-            edge = alpha * cube.n
             for k in range(cube.n):
                 if alpha >> k & 1:
                     continue
@@ -246,7 +229,7 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple, key, at: dict) -> di
                 if place is None:
                     _, base, _, rank = targets[run_of[beta]]
                     place = at[beta] = [dst_pos[base + r] for r in rank]
-                out.append((signs[edge + k], place, cube.edge_table(alpha, k)))
+                out.append((signs[alpha * cube.n + k], place, cube.edge_table(alpha, k)))
         mask = order[j - start]
         column = {}
         for e, place, table in out:
@@ -261,18 +244,13 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple, key, at: dict) -> di
 def _validate(c: ChainComplex) -> None:
     """Raise AssertionError unless the complex is the signed cube.
 
-    The face gate has run before, once per face, in the walk that built
-    the signs or on the given ones (see ``assemble_complex``): the two
-    path composites agree up to the face's sign on every monomial, once
-    per face key and cube, and the signs have the right parity on each
-    face.  Here every shape table must equal the merge or split map
-    built from the circles of an edge of its shape
-    (``cube._first_wrong_table``), once per shape and cube, and every
-    differential the complex holds must pass the entry gate
+    d^2 vanishes on every face by the time this runs (see
+    ``assemble_complex``).  Every shape table must equal the merge or
+    split map of a second edge of its shape (``cube._first_wrong_table``),
+    and every differential the complex holds must pass the entry gate
     (``_check_entries``), which also reads each later placement.
     Together the face gate and the entry gate give d^2 = 0 for the
-    matrices themselves, and none of these gates multiplies
-    differentials.
+    matrices themselves, and no gate multiplies differentials.
     """
     cube = c.cube
     edge = _first_wrong_table(cube)
@@ -618,11 +596,7 @@ def zero_chain_map(src: ChainComplex, dst: ChainComplex, q_shift: int = 0) -> Ch
 
 
 def is_chain_map(f: ChainMap) -> bool:
-    """Whether the blocks commute with both differentials.
-
-    d f - f d is summed degree by degree into one dict of entries
-    (``linalg._products_vanish``); no product matrix is built.
-    """
+    """Whether d f - f d vanishes in every degree, with no product matrix built."""
     for h in f.src.degrees():
         if not _products_vanish((1, f.dst.differential(h), f.block(h)), (-1, f.block(h + 1), f.src.differential(h))):
             return False

@@ -4,9 +4,8 @@ Vertices carry exterior state spaces, edges carry merge or split maps,
 and square faces are sorted into the ten shapes that determine how the
 two paths around them compare.  The canonical coherent edge signs are
 built in one walk down the cube, with a spanning tree at +1, as one
-flat list read by edge index ``alpha * n + c``; GF(2) elimination
-remains to enumerate every coherent choice and to complete pinned ones.
-Gradings and differentials live one level up.
+flat list indexed ``alpha * n + c``; GF(2) elimination remains to
+enumerate every coherent choice and to complete pinned ones.
 
 An edge map depends only on its shape: where each source generator
 lands in the target space and, for a split, where the two offspring
@@ -16,21 +15,17 @@ same table.  A 10-crossing cube has thousands of edges but on the
 order of a hundred shapes.
 
 A face is fixed by the shapes of its four edges, its key, in the same
-way: both path composites are products of the four tables, and the
-circles each base edge touches (a merge's fused pair, a split's parent)
-can be read off the base shapes.  So each key's two composites are
-compared once per cube on every monomial of the base space
-(``_key_sign``), and its first face must classify to that sign; with
-the sign parity of each face this is d^2 = 0, without multiplying
-differentials.  One helper gives a face its sign (``_face_sign``), and
-the canonical walk checks each face's parity as it goes, so a complex
-assembled with the canonical signs checks each face once.  The
-exception is the vanishing-path shapes vi and x, whose sign is the
-geometric chirality of the two bands: those faces are classified one
-by one.  Each shape table is also compared once with the merge or
-split map built from the circles of an edge of that shape, the second
-one seen where there is one (``_first_wrong_table``).  A 10-crossing
-cube has 11,520 faces and on the order of a thousand keys.
+way: both path composites are products of the four tables.  So once
+per key and cube the composites are compared on every monomial of the
+base space (``_key_sign``) and the key's first face must classify to
+that sign; with the sign parity of each face this is d^2 = 0, without
+multiplying differentials.  The canonical walk reads each face's sign
+(``_face_sign``) and checks its parity once.  The exception is the
+vanishing-path shapes vi and x, whose sign is the geometric chirality
+of the two bands: those faces are classified one by one.  Each shape
+table is also compared once with the merge or split map built from the
+circles of another edge of its shape (``_first_wrong_table``).  A
+10-crossing cube has 11,520 faces and on the order of a thousand keys.
 """
 
 from __future__ import annotations
@@ -205,8 +200,7 @@ class Cube:
         their key, so a circle's index in its resolution is its
         generator's position in the space: the shape is read off the
         two resolutions (``_correspondence``), and ``edge`` runs only to
-        build the table of a shape not seen before.  The second edge seen
-        with a shape is kept for the table gate.
+        build the table of a shape not seen before.
         """
         i = self._edge_ids[alpha * self.n + c]
         if i < 0:
@@ -239,26 +233,10 @@ class Cube:
                 self.edge_shape(alpha, c)
         return ids
 
-    def face_keys(self):
-        """Every face, in ``faces`` order, with its key.
-
-        The key lists the shape ids of the face's two paths, each from
-        the base vertex: ``(alpha, c1)`` then ``(alpha + c1, c2)``, and
-        ``(alpha, c2)`` then ``(alpha + c2, c1)``.
-        """
-        n = self.n
-        ids = self.edge_ids()
-        for alpha in range(1 << n):
-            base = alpha * n
-            for c1 in range(n):
-                if alpha >> c1 & 1:
-                    continue
-                first, up1 = ids[base + c1], (alpha | 1 << c1) * n
-                for c2 in range(c1 + 1, n):
-                    if not alpha >> c2 & 1:
-                        up2 = (alpha | 1 << c2) * n
-                        key = (first, ids[up1 + c2], ids[base + c2], ids[up2 + c1])
-                        yield (alpha, c1, c2), key
+    def face_key(self, alpha: int, c1: int, c2: int) -> tuple:
+        """Shape ids of the paths (alpha, c1), (alpha + c1, c2) and (alpha, c2), (alpha + c2, c1)."""
+        n, ids = self.n, self._edge_ids
+        return ids[alpha * n + c1], ids[(alpha | 1 << c1) * n + c2], ids[alpha * n + c2], ids[(alpha | 1 << c2) * n + c1]
 
     def edge_terms(self, alpha: int, c: int, mask: int) -> tuple:
         """Image of one basis monomial under one edge, as (coeff, mask) terms."""
@@ -447,25 +425,16 @@ def _key_sign(cube: Cube, alpha: int, c1: int, c2: int):
     return sigma
 
 
-_REFUSAL = "no coherent edge signs exist"
-
-
 def _face_sign(cube: Cube, alpha: int, c1: int, c2: int) -> int:
-    """The path-comparison sign of face (alpha, c1, c2), c1 < c2, classified once per key.
+    """The path-comparison sign of face (alpha, c1, c2), c1 < c2, once per key.
 
-    The key is read off the shape ids of the four edges, which must all
-    be known (``Cube.edge_ids``).  The first face of a key has its key's
-    sign measured on every monomial (``_key_sign``), the d^2 check of
-    all faces of that key, which raises AssertionError when no sign
-    fits; the face must also classify to that sign, or the signs are
-    refused with ValueError.  The other faces of the key take the
-    cached sign.  Vanishing-path faces (shapes vi and x) keep their
-    geometric sign, classified one by one.  So ``classify_face`` runs
-    once per key plus once per vi/x face after the first of its key.
+    A key's first face has the key's sign measured on every monomial
+    (``_key_sign``, the d^2 check of all its faces; AssertionError when
+    no sign fits) and must classify to it, or ValueError refuses the
+    signs; later faces take the cached sign.  Vanishing-path faces
+    (shapes vi and x) are classified one by one.
     """
-    n, ids = cube.n, cube._edge_ids
-    base = alpha * n
-    key = (ids[base + c1], ids[(alpha | 1 << c1) * n + c2], ids[base + c2], ids[(alpha | 1 << c2) * n + c1])
+    key = cube.face_key(alpha, c1, c2)
     known = cube._face_sigma
     s = known.get(key, 0)
     if s == 0:
@@ -474,25 +443,18 @@ def _face_sign(cube: Cube, alpha: int, c1: int, c2: int) -> int:
             raise AssertionError(f"d^2 != 0 on face {(alpha, c1, c2)}")
         known[key] = s
         if s is not None and classify_face(cube, alpha, c1, c2).sigma != s:
-            raise ValueError(_REFUSAL)
+            raise ValueError("no coherent edge signs exist")
     return classify_face(cube, alpha, c1, c2).sigma if s is None else s
 
 
 def _face_sigmas(cube: Cube, faces) -> dict:
-    """The sign (``_face_sign``) of each face (alpha, c1, c2), c1 < c2.
-
-    A saddle passes the faces through its band site, and the GF(2)
-    system every face.
-    """
+    """The sign (``_face_sign``) of each face: a saddle's band faces, or every face."""
     cube.edge_ids()
     return {f: _face_sign(cube, *f) for f in faces}
 
 
 def _first_failing_face(cube: Cube, eps: dict):
-    """The first face on which d^2 fails for edge signs ``eps``, or None.
-
-    The gate for signs given as a dict; the canonical walk
-    (``_canonical_signs``) checks its own faces as it sets them.
+    """The first face on which d^2 fails for edge signs given as a dict, or None.
 
     On one face d^2 is path1 * p1 + path2 * p2, with pathk the product
     of the signs along path k and pk its composite.  Where pk is not
@@ -502,7 +464,9 @@ def _first_failing_face(cube: Cube, eps: dict):
     faces need no parity, since their d^2 is zero for any signs.
     """
     known = cube._face_sigma
-    for face, key in cube.face_keys():
+    cube.edge_ids()
+    for face in cube.faces():
+        key = cube.face_key(*face)
         sigma = known.get(key, 0)
         if sigma == 0:
             sigma = _key_sign(cube, *face)
@@ -522,10 +486,9 @@ def _first_wrong_table(cube: Cube):
     """An edge whose shape table is not its saddle map, or None.
 
     Each shape table not yet gated is compared, column by column, with
-    ``merge_map`` or ``split_map`` built from the circle correspondence
-    of the second edge seen with that shape, or of the edge that built
-    the table when the cube has no other, so the shape key must fix the
-    map; a table that passes is not compared again.
+    ``merge_map`` or ``split_map`` built from the circles of the second
+    edge seen with that shape (the first if there is no other), so the
+    shape must fix the map; a table that passes is not compared again.
     """
     while cube._gated < len(cube._tables):
         alpha, c = cube._sites[cube._gated][-1]
@@ -545,19 +508,15 @@ def _first_wrong_table(cube: Cube):
 def _canonical_signs(cube: Cube, sign, refusal: str) -> list:
     """The canonical coherent signs for face signs ``sign(alpha, c1, c2)``.
 
-    One walk down the cube, once every edge is shaped in ``edges`` order
-    (``Cube.edge_ids``); see ``solve_sign_assignment`` for why the
-    result is canonical.  The signs come as one flat list, edge (alpha,
-    c) at ``alpha * n + c`` as in ``Cube._edge_ids``, 0 where c is
-    resolved at alpha.  Every vertex alpha but the top has a highest
-    unresolved crossing h, and the tree edge (alpha, h) reads +1.  Any
-    other unresolved c < h closes the face (alpha, c, h), whose edge
-    (alpha + c, h) is a tree edge and whose edge (alpha + h, c) sits
-    higher up, so it was set earlier in the walk; that face then holds
-    by construction.  Every other face based at alpha has all four
-    edges set once alpha is done, and is checked there, so each face's
-    sign is read once; with the tree at +1 the walk gives the only
-    candidate, and a face that fails refuses it with ValueError.
+    One flat list, edge (alpha, c) at ``alpha * n + c`` as in
+    ``Cube.edge_ids``, from one walk down the cube; see
+    ``solve_sign_assignment`` for why it is canonical.  Every vertex
+    alpha but the top has a highest unresolved crossing h, and the tree
+    edge (alpha, h) reads +1.  Any other unresolved c < h closes the
+    face (alpha, c, h), whose edge (alpha + c, h) is a tree edge and
+    whose edge (alpha + h, c) was set earlier, so that face holds by
+    construction.  Every other face based at alpha is checked once alpha
+    is done, so each face's sign is read once.
     """
     n = cube.n
     cube.edge_ids()
@@ -580,15 +539,9 @@ def _canonical_signs(cube: Cube, sign, refusal: str) -> list:
     return eps
 
 
-def _signs_dict(cube: Cube, eps: list) -> dict:
-    """Flat signs (see ``_canonical_signs``) as {(alpha, c): sign}, in ``edges`` order."""
-    n = cube.n
-    return {(alpha, c): eps[alpha * n + c] for alpha, c in cube.edges()}
-
-
 def _solved_signs(cube: Cube) -> list:
     """The canonical signs of ``solve_sign_assignment`` as the flat list."""
-    return _canonical_signs(cube, partial(_face_sign, cube), _REFUSAL)
+    return _canonical_signs(cube, partial(_face_sign, cube), "no coherent edge signs exist")
 
 
 def _gf2_signs(cube: Cube, pinned: dict) -> tuple:
@@ -629,11 +582,10 @@ def solve_sign_assignment(cube: Cube) -> dict:
     the maximum spanning tree by edge index: each vertex's edge along
     its highest unresolved crossing.  ``_canonical_signs`` sets that tree
     to +1, fills in the other edges face by face and checks every face
-    once, reading each face's sign from ``_face_sign``, in time linear
-    in the number of faces.  A face that classifies against its key's
-    measured sign, or any face that fails, refuses with ValueError.
+    once (``_face_sign``), in time linear in the number of faces.
     """
-    return _signs_dict(cube, _solved_signs(cube))
+    eps = _solved_signs(cube)
+    return {(alpha, c): eps[alpha * cube.n + c] for alpha, c in cube.edges()}
 
 
 def enumerate_sign_assignments(cube: Cube) -> list[dict]:
@@ -669,23 +621,19 @@ def arrow_flipped_signs(cube: Cube, reversed_crossings) -> dict:
     The canonical signs (see ``solve_sign_assignment``) for the flipped
     face signs are found and the negations folded back in, so assembling
     with the result over the unchanged edge maps yields the reoriented
-    theory's differential.  The flip enters the walk as one parity per
-    face, the number of negated edges among its four.
+    theory's differential.
     """
     flip = set(reversed_crossings)
-    # The walk shapes every edge before it reads a face, and with that
-    # runs the edge checks; a split is then an edge that adds a circle.
+    # The walk runs the edge checks on every edge before it reads a
+    # face or returns; a split is then an edge that adds a circle.
     circles = [cube.resolution(alpha).n_circles for alpha in cube.vertices()]
-
-    def negated(alpha, c):
-        return c in flip and circles[alpha | 1 << c] > circles[alpha]
+    negated = {(a, c) for a, c in cube.edges() if c in flip and circles[a | 1 << c] > circles[a]}
 
     def sign(alpha, c1, c2):
-        s = _face_sign(cube, alpha, c1, c2)
-        return -s if sum(negated(a, c) for a, c in face_edges(alpha, c1, c2)) & 1 else s
+        return (-1) ** len(negated.intersection(face_edges(alpha, c1, c2))) * _face_sign(cube, alpha, c1, c2)
 
     eps = _canonical_signs(cube, sign, "no coherent edge signs exist for the flipped arrows")
-    return {(a, c): -v if negated(a, c) else v for (a, c), v in _signs_dict(cube, eps).items()}
+    return {(a, c): (-1 if (a, c) in negated else 1) * eps[a * cube.n + c] for a, c in cube.edges()}
 
 
 def extend_sign_assignment(cube: Cube, pinned: dict) -> dict:

@@ -183,11 +183,9 @@ class IntMatrix:
 
 
 def _products_vanish(*terms) -> bool:
-    """Whether a signed sum of products, s * A * B summed over (s, A, B) terms, is zero.
+    """Whether the sum of s * A * B over (s, A, B) terms is zero, summed in one dict.
 
-    Every term is accumulated into one dict of entries, so no product
-    matrix is built.  Factors that do not multiply, or a product of
-    another shape than the first, raise ValueError as ``__mul__`` does.
+    Shapes that do not fit raise ValueError, as ``__mul__`` does.
     """
     shape = None
     acc: dict[tuple[int, int], int] = {}

@@ -167,7 +167,7 @@ def test_classify_face_runs_once_per_key_and_per_vanishing_face(monkeypatch):
     monkeypatch.setattr(cube_module, "classify_face", counted)
     assemble_complex(cube)
     monkeypatch.setattr(cube_module, "classify_face", original)
-    keys = dict(cube.face_keys())
+    keys = {f: cube.face_key(*f) for f in cube.faces()}
     vanishing = [f for f in cube.faces() if original(cube, *f).tag in {"vi", "x"}]
     vanishing_keys = {keys[f] for f in vanishing}
     assert len(vanishing) > len(vanishing_keys) > 0
