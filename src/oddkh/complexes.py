@@ -145,8 +145,8 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     """Flatten a cube along a coherent edge-sign choice.
 
     With no signs given the canonical ones are used, from the walk that
-    checks d squared on each face as it builds them; given signs pass
-    ``cube._first_failing_face``.  Either way each face is checked once.
+    checks d squared on each face as it builds them; given signs must be
+    +1 or -1 (ValueError) and pass ``cube._first_failing_face``.  Either way each face is checked once.
     Assembly lays out the chain groups as one run per vertex and runs
     ``_validate``, but builds no differential.  The reader
     decides what ``_place`` writes from the edge tables, and
@@ -166,6 +166,8 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     if signs is None:
         eps = _solved_signs(cube)
     else:
+        if any(s not in (1, -1) for s in signs.values()):
+            raise ValueError("edge signs must be +1 or -1")
         face = _first_failing_face(cube, signs)
         if face is not None:
             raise AssertionError(f"d^2 != 0 on face {face}")

@@ -340,6 +340,17 @@ def test_given_signs_with_one_edge_negated_are_refused():
             assemble_complex(cube, eps)
 
 
+@pytest.mark.parametrize("sign", [0, 2])
+def test_given_signs_other_than_one_are_refused(sign):
+    # A one-crossing cube has no face, so no face check sees the value.
+    for d in (kinked_unknot([1]), parse_pd(TREFOIL)):
+        cube = build_cube(d)
+        eps = solve_sign_assignment(cube)
+        eps[next(iter(eps))] = sign
+        with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+            assemble_complex(cube, eps)
+
+
 def test_homology_stage_peaks_under_100_bytes_per_generator():
     # Above the assembled complex, the homology stage holds one placed
     # block of the marked half at a time.
