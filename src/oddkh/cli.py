@@ -59,16 +59,23 @@ def _read_json(path: str):
         raise ValueError(f"{path} is not valid JSON: line {e.lineno} column {e.colno}") from None
 
 
-def _check_cap(diagram) -> None:
-    """Refuse a diagram whose crossings plus free circles exceed the cap.
+def _check_cap(n: int, free: int) -> None:
+    """Refuse n crossings plus ``free`` free circles above the cap.
 
     Each crossing and each free circle doubles the complex.
     """
     cap = _crossing_cap()
-    n, free = len(diagram.crossings), len(diagram.free_arcs)
     if n + free > cap:
         size = f"{n} crossings plus {free} free circles" if free else f"{n} crossings"
         raise ValueError(f"{size} exceeds the cap of {cap} (raise ODDKH_MAX_CROSSINGS to override)")
+
+
+def _check_free_circles(data) -> None:
+    """Refuse an integer ``free_circles`` above the cap before ``parse_pd`` builds one arc for each."""
+    free = data.get("free_circles") if isinstance(data, dict) else None
+    if type(free) is int and free > _crossing_cap():
+        pd = data.get("pd")
+        _check_cap(len(pd) if isinstance(pd, list) else 0, free)
 
 
 def _growth(event) -> int:
@@ -87,7 +94,7 @@ def _growth(event) -> int:
 
 def _check_movie_cap(initial, events) -> None:
     """Refuse a movie if any diagram along it may exceed the cap."""
-    _check_cap(initial)
+    _check_cap(len(initial.crossings), len(initial.free_arcs))
     cap = _crossing_cap()
     size = len(initial.crossings) + len(initial.free_arcs)
     for idx, event in enumerate(events):
@@ -103,8 +110,9 @@ def _load_diagram(path: str):
     data = _read_json(path)
     if isinstance(data, dict) and "name" in data:
         data = {k: v for k, v in data.items() if k != "name"}
+    _check_free_circles(data)
     diagram = parse_pd(data)
-    _check_cap(diagram)
+    _check_cap(len(diagram.crossings), len(diagram.free_arcs))
     return diagram
 
 
@@ -162,6 +170,7 @@ def cmd_movie(args) -> int:
     t0 = time.perf_counter()
     try:
         data = _read_json(args.script)
+        _check_free_circles(data.get("initial") if isinstance(data, dict) else None)
         initial, events = script_from_dict(data)
         _check_movie_cap(initial, events)
     except (ValueError, KeyError, TypeError) as e:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .cube import Cube, _first_failing_face, _first_wrong_table, _solved_signs
-from .linalg import IntMatrix, _divisors, _products_vanish, _sparse_rows, elementary_divisors, integer_cokernel, integer_kernel, solve_integer
+from .linalg import IntMatrix, _divisors, _products_vanish, elementary_divisors, integer_cokernel, integer_kernel, solve_integer
 from .oddtqft import monomial_order
 
 __all__ = [
@@ -75,17 +75,14 @@ class ChainComplex:
     ``basis(h)`` builds the (vertex, mask) pairs on demand.  Each
     generator has a quantum degree, which the differential preserves.
     ``signs`` is one flat list, edge (alpha, c) at ``alpha * n + c``.
-    Differentials given to the constructor are kept as given; an
-    assembled complex places each d_h on the first ``differential(h)``
-    call and keeps it (see ``assemble_complex``).
+    The complex holds no differential until one is read: it places each
+    d_h from the cube on the first ``differential(h)`` call and keeps it.
+    Complexes are built by ``assemble_complex``, which gates the cube.
     """
 
-    __slots__ = (
-        "cube", "signs", "n_minus", "_runs", "_at", "_qdeg", "_given", "_diff", "_layout", "_pres",
-        "_blocks",
-    )
+    __slots__ = ("cube", "signs", "n_minus", "_runs", "_at", "_qdeg", "_diff", "_layout", "_pres", "_blocks")
 
-    def __init__(self, cube: Cube, signs: list, runs: dict, qdeg: dict, diff: dict | None = None):
+    def __init__(self, cube: Cube, signs: list, runs: dict, qdeg: dict):
         self.cube = cube
         self.signs = signs
         self.n_minus = cube.diagram.n_minus
@@ -97,8 +94,7 @@ class ChainComplex:
             self._runs[h] = tuple((alpha, s, *monomial_order(k)) for (alpha, k), s in zip(r, starts))
             self._at[h] = {alpha: i for i, (alpha, _) in enumerate(r)}
         self._qdeg = qdeg
-        self._given = diff is not None
-        self._diff = dict(diff or {})
+        self._diff: dict[int, IntMatrix] = {}
         self._layout = None
         self._pres: dict[tuple[int, int], HomologyPresentation] = {}
         self._blocks: dict[int, dict[int, IntMatrix]] = {}
@@ -123,7 +119,7 @@ class ChainComplex:
     def differential(self, h: int) -> IntMatrix:
         d = self._diff.get(h)
         if d is None:
-            if self._given or h not in self._runs or h + 1 not in self._runs:
+            if h not in self._runs or h + 1 not in self._runs:
                 return IntMatrix.zero(self.dim(h + 1), self.dim(h))
             columns = _place(self, h, _one_block(self.dim(h)), _one_block(self.dim(h + 1)), 0, {})
             # The gate has read every entry back in range and nonzero.
@@ -145,11 +141,13 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
     """Flatten a cube along a coherent edge-sign choice.
 
     With no signs given the canonical ones are used, from the walk that
-    checks d squared on each face as it builds them; given signs must be
-    +1 or -1 (ValueError) and pass ``cube._first_failing_face``.  Either way each face is checked once.
-    Assembly lays out the chain groups as one run per vertex and runs
-    ``_validate``, but builds no differential.  The reader
-    decides what ``_place`` writes from the edge tables, and
+    checks d squared on each face as it builds them.  Given signs must be
+    a dict over exactly the cube's edges, each the int +1 or -1
+    (ValueError), and pass ``cube._first_failing_face``.  Either way each
+    face is checked once.  Assembly lays out the chain groups as one run
+    per vertex and compares every shape table with its saddle map
+    (``cube._first_wrong_table``), but builds no differential.  The
+    reader decides what ``_place`` writes from the edge tables, and
     ``_check_entries`` reads back every placement:
 
     - ``differential(h)`` places the full d_h once and keeps it; chain
@@ -158,15 +156,19 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
       half's quantum blocks, one at a time, and build no full
       differential.
 
-    So any face-classification, table, sign or placement error surfaces
-    before a matrix is read, not in a homology answer.  A reader that
+    Together the face gate and the entry gate give d^2 = 0 for the
+    matrices themselves, and no gate multiplies differentials.  So any
+    face-classification, table, sign or placement error surfaces before
+    a matrix is read, not in a homology answer.  A reader that
     touches every ``differential(h)``, as perfbench's traced assembly
     probe does, builds all the full matrices.
     """
     if signs is None:
         eps = _solved_signs(cube)
     else:
-        if any(s not in (1, -1) for s in signs.values()):
+        if signs.keys() != set(cube.edges()):
+            raise ValueError("edge signs must be given for exactly the cube's edges")
+        if any(type(s) is not int or s not in (1, -1) for s in signs.values()):
             raise ValueError("edge signs must be +1 or -1")
         face = _first_failing_face(cube, signs)
         if face is not None:
@@ -183,9 +185,10 @@ def assemble_complex(cube: Cube, signs: dict | None = None) -> ChainComplex:
         top = circles + alpha.bit_count() + shift_q
         qdeg.setdefault(h, []).extend(top - 2 * m.bit_count() for m in monomial_order(circles)[0])
     qdeg = {h: tuple(v) for h, v in qdeg.items()}
-    cx = ChainComplex(cube, eps, runs, qdeg)
-    _validate(cx)
-    return cx
+    edge = _first_wrong_table(cube)
+    if edge is not None:
+        raise AssertionError(f"edge table differs from its saddle map at edge {edge}")
+    return ChainComplex(cube, eps, runs, qdeg)
 
 
 def _one_block(n: int) -> tuple:
@@ -207,11 +210,8 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple, key, at: dict) -> di
     system's pivot order follows it.  ``at``, one cache per degree and
     layout, maps each target vertex to the block position of each of
     its masks.  Every placement is read back by the entry gate
-    (``_check_entries``); differentials given by hand are cut (``_cut``)
-    and not checked.
+    (``_check_entries``).
     """
-    if c._given:
-        return _sparse_rows(_cut(c.differential(h), src, dst)[key].transpose())
     cube, signs, dst_pos = c.cube, c.signs, dst[1]
     targets, run_of = c._runs[h + 1], c._at[h + 1]
     runs = iter(c._runs[h])
@@ -241,25 +241,6 @@ def _place(c: ChainComplex, h: int, src: tuple, dst: tuple, key, at: dict) -> di
             columns[p] = column
     _check_entries(c, h, src, dst, key, columns)
     return columns
-
-
-def _validate(c: ChainComplex) -> None:
-    """Raise AssertionError unless the complex is the signed cube.
-
-    d^2 vanishes on every face by the time this runs (see
-    ``assemble_complex``).  Every shape table must equal the merge or
-    split map of a second edge of its shape (``cube._first_wrong_table``),
-    and every differential the complex holds must pass the entry gate
-    (``_check_entries``), which also reads each later placement.
-    Together the face gate and the entry gate give d^2 = 0 for the
-    matrices themselves, and no gate multiplies differentials.
-    """
-    cube = c.cube
-    edge = _first_wrong_table(cube)
-    if edge is not None:
-        raise AssertionError(f"edge table differs from its saddle map at edge {edge}")
-    for h, d in c._diff.items():
-        _check_entries(c, h, _one_block(d.cols), _one_block(d.rows), 0, _sparse_rows(d.transpose()))
 
 
 def _check_entries(c: ChainComplex, h: int, src: tuple, dst: tuple, key, columns: dict) -> None:
@@ -371,43 +352,35 @@ def _layout(c: ChainComplex, marked: dict | None = None) -> dict:
 def _cut(m: IntMatrix, src: tuple, dst: tuple, shift: int = 0) -> dict:
     """A matrix that shifts quantum degree by ``shift``, cut into its blocks.
 
-    ``src`` and ``dst`` are the layouts (see ``_layout``) of the source
-    and target degrees, None for a degree with no generators.  One pass
-    over the nonzeros; each block is keyed by its source quantum degree
-    and written in block coordinates.  Columns outside the layout are
-    dropped; a kept column must have its rows inside it, as when the
-    marked generators span a subcomplex.
+    ``src`` and ``dst`` are the full layouts (see ``_layout``) of the
+    source and target degrees, None for a degree with no generators.
+    One pass over the nonzeros; each block is keyed by its source
+    quantum degree and written in block coordinates.  Presentations and
+    induced maps cut full differentials and chain maps; the marked half
+    is placed block by block and never cut.
     """
     (cols, src_pos, qs), (rows, dst_pos, _) = src or _EMPTY, dst or _EMPTY
     by_q: dict[int, dict] = {q: {} for q in cols}
     for (i, j), v in m.data.items():
-        p = src_pos[j]
-        if p >= 0:
-            by_q[qs[j]][dst_pos[i], p] = v
+        by_q[qs[j]][dst_pos[i], src_pos[j]] = v
     return {q: IntMatrix(len(rows.get(q + shift, ())), len(cols[q]), e) for q, e in by_q.items()}
 
 
-def _marked_layout(c: ChainComplex, bits: dict | None = None) -> dict:
+def _marked_layout(c: ChainComplex) -> dict:
     """The quantum blocks (see ``_layout``) of the marked subcomplex S.
 
     S is spanned by the generators (alpha, mask) whose mask holds the
-    marked circle: bit ``bits[alpha]`` of the mask, or bit 0 for a vertex
-    not in ``bits``.  Bit 0 is always the circle through the diagram's
-    smallest arc, because circle keys are each circle's smallest arc and
-    exterior spaces sort their keys.  A diagram with no arcs has no
-    circle to mark; a complex on it has differentials only when built by
-    hand, and is kept whole.
+    marked circle, bit 0: the circle through the diagram's smallest arc,
+    because circle keys are each circle's smallest arc and exterior
+    spaces sort their keys.  The empty diagram has no circle to mark; its
+    complex is one generator with no differential, and is kept whole.
     """
     if not c.cube.diagram.arcs:
         return _layout(c)
-    bits = bits or {}
-    return _layout(c, {
-        h: [m >> bits.get(alpha, 0) & 1 for alpha, _, order, _ in c._runs[h] for m in order]
-        for h in c.degrees()
-    })
+    return _layout(c, {h: [m & 1 for _, _, order, _ in c._runs[h] for m in order] for h in c.degrees()})
 
 
-def _marked_half(c: ChainComplex, bits: dict | None = None) -> tuple[dict, dict]:
+def _marked_half(c: ChainComplex) -> tuple[dict, dict]:
     """Elementary divisors and block sizes of the marked subcomplex S.
 
     S's (h, q) blocks (see ``_marked_layout``) are placed one at a time,
@@ -420,7 +393,7 @@ def _marked_half(c: ChainComplex, bits: dict | None = None) -> tuple[dict, dict]
     table of S's (h, q) blocks and the size of each block, in the full
     complex's quantum grading.
     """
-    lay = _marked_layout(c, bits)
+    lay = _marked_layout(c)
     divisors = {}
     for h in c.degrees():
         if h + 1 in lay:

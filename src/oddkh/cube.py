@@ -9,10 +9,10 @@ enumerate every coherent choice and to complete pinned ones.
 
 An edge map depends only on its shape: where each source generator
 lands in the target space and, for a split, where the two offspring
-land.  The cube builds one table per shape, the image of every source
-monomial indexed by its mask, and every edge of that shape reads the
-same table.  A 10-crossing cube has thousands of edges but on the
-order of a hundred shapes.
+land.  The cube shapes every edge when it is built, with no lazy path:
+one table per shape, the image of every source monomial indexed by its
+mask, which every edge of that shape reads.  A 10-crossing cube has
+thousands of edges but on the order of a hundred shapes.
 
 A face is fixed by the shapes of its four edges, its key, in the same
 way: both path composites are products of the four tables.  So once
@@ -79,50 +79,68 @@ class CubeEdge:
 class Cube:
     """All resolutions of a diagram together with their saddle maps.
 
-    Resolutions and state spaces are derived on demand and cached; a
-    resolution holds its circle keys and two byte tables (see
+    A resolution holds its circle keys and two byte tables (see
     ``linkdiag.Resolution``), and a circle's key is one of its arcs, so
     ``_correspondence`` reads where each circle goes without walking one.
-    The one per-edge cache is the id of the edge's shape (see
-    ``edge_shape``): the edge checks run once for every edge when
-    its shape is looked up, and edges of the same shape share one
-    table, so the cube keeps no per-edge key correspondence.  Face keys
-    are cached with the sign their paths commute with.  `theory` fixes
-    the sign convention for the two interleaved face shapes and affects
-    nothing else.
+    The one per-edge record is the id of the edge's shape: edges of the
+    same shape share one table, so the cube keeps no per-edge key
+    correspondence.  State spaces are built on demand, since only table
+    building and the cobordism factors read them.  Face keys are cached
+    with the sign their paths commute with.  `theory` fixes the sign
+    convention for the two interleaved face shapes and affects nothing
+    else.
     """
 
     __slots__ = (
-        "diagram", "n", "theory", "_resolutions", "_spaces", "_edge_ids", "_shapes", "_tables",
-        "_sites", "_gated", "_face_sigma",
+        "diagram", "n", "theory", "_resolutions", "_spaces", "_edge_ids", "_tables", "_sites", "_gated",
+        "_face_sigma",
     )
 
     def __init__(self, diagram: LinkDiagram, theory: str = "y"):
+        """Resolve every vertex, then shape every edge in ``edges`` order, once.
+
+        Shape ids are numbered in the order first seen, and the readers
+        are list reads.  Circles are sorted by their smallest arc, which
+        is their key, so a circle's index in its resolution is its
+        generator's position in the space: the shape, read off the two
+        resolutions by ``_correspondence``, fixes the edge's map, and
+        ``edge`` runs only to build the table of a new shape from its
+        first edge.
+        """
         if theory not in ("x", "y"):
             raise ValueError("theory must be 'x' or 'y'")
         self.diagram = diagram
-        self.n = len(diagram.crossings)
+        self.n = n = len(diagram.crossings)
         self.theory = theory
-        self._resolutions: dict[int, Resolution] = {}
+        self._resolutions = [resolve(diagram, alpha) for alpha in range(1 << n)]
         self._spaces: dict[int, ExteriorSpace] = {}
-        # Shape id of edge (alpha, c) at alpha * n + c, -1 until seen.
-        self._edge_ids = [-1] * (self.n << self.n)
-        self._shapes: dict[tuple, int] = {}
-        # Per shape id: its table, the first two edges seen with it, and
-        # (below _gated) whether the table passed _first_wrong_table.
+        # Shape id of edge (alpha, c) at alpha * n + c, -1 where c is resolved.
+        self._edge_ids = [-1] * (n << n)
+        # Per shape id: its table, its first two edges, and (below
+        # _gated) whether the table passed _first_wrong_table.
         self._tables: list[tuple] = []
         self._sites: list[list[tuple[int, int]]] = []
         self._gated = 0
         # Per face key: the sign its paths commute with on every
         # monomial (_key_sign), None for vanishing-path keys.
         self._face_sigma: dict[tuple, int | None] = {}
+        shapes: dict[tuple, int] = {}
+        for alpha, c in self.edges():
+            shape = self._correspondence(alpha, c)[0]
+            i = shapes.get(shape)
+            if i is None:
+                i = shapes[shape] = len(self._tables)
+                beta = alpha | 1 << c
+                self._tables.append(_edge_columns(self.space(alpha), self.space(beta), self.edge(alpha, c)))
+                self._sites.append([(alpha, c)])
+            elif len(self._sites[i]) == 1:
+                self._sites[i].append((alpha, c))
+            self._edge_ids[alpha * n + c] = i
 
     def resolution(self, alpha: int) -> Resolution:
-        r = self._resolutions.get(alpha)
-        if r is None:
-            r = resolve(self.diagram, alpha)
-            self._resolutions[alpha] = r
-        return r
+        if not 0 <= alpha < len(self._resolutions):
+            raise ValueError(f"vertex {alpha} is not in the cube")
+        return self._resolutions[alpha]
 
     def space(self, alpha: int) -> ExteriorSpace:
         s = self._spaces.get(alpha)
@@ -192,46 +210,22 @@ class Cube:
         return CubeEdge(alpha, c, kind, image, src[parent], dst[child0], dst[child1])
 
     def edge_shape(self, alpha: int, c: int) -> int:
-        """The id of one edge's shape, numbered in the order first seen.
-
-        The shape is the edge's kind, the target position of each source
-        generator in order, and for a split the positions of both
-        offspring.  Circles are sorted by their smallest arc, which is
-        their key, so a circle's index in its resolution is its
-        generator's position in the space: the shape is read off the
-        two resolutions (``_correspondence``), and ``edge`` runs only to
-        build the table of a shape not seen before.
-        """
+        """The id of one edge's shape (see ``__init__``)."""
+        if not (0 <= c < self.n and 0 <= alpha < len(self._resolutions)):
+            raise ValueError(f"edge {(alpha, c)} is not in the cube")
         i = self._edge_ids[alpha * self.n + c]
         if i < 0:
-            shape = self._correspondence(alpha, c)[0]
-            i = self._shapes.get(shape)
-            if i is None:
-                i = self._shapes[shape] = len(self._tables)
-                beta = alpha | 1 << c
-                self._tables.append(_edge_columns(self.space(alpha), self.space(beta), self.edge(alpha, c)))
-                self._sites.append([(alpha, c)])
-            elif len(self._sites[i]) == 1:
-                self._sites[i].append((alpha, c))
-            self._edge_ids[alpha * self.n + c] = i
+            raise ValueError("crossing already resolved at this vertex")
         return i
 
     def edge_table(self, alpha: int, c: int) -> tuple:
         """The image of every source monomial under one edge.
 
         Entry ``mask`` is a tuple of (coeff, target mask) terms, empty
-        when the monomial maps to zero.  Edges of one shape (see
-        ``edge_shape``) share the same tuple.
+        when the monomial maps to zero.  Edges of one shape share the
+        same tuple.
         """
         return self._tables[self.edge_shape(alpha, c)]
-
-    def edge_ids(self) -> list:
-        """Every edge's shape id at ``alpha * n + c``, shaped in ``edges`` order."""
-        n, ids = self.n, self._edge_ids
-        for alpha, c in self.edges():
-            if ids[alpha * n + c] < 0:
-                self.edge_shape(alpha, c)
-        return ids
 
     def face_key(self, alpha: int, c1: int, c2: int) -> tuple:
         """Shape ids of the paths (alpha, c1), (alpha + c1, c2) and (alpha, c2), (alpha + c2, c1)."""
@@ -449,7 +443,6 @@ def _face_sign(cube: Cube, alpha: int, c1: int, c2: int) -> int:
 
 def _face_sigmas(cube: Cube, faces) -> dict:
     """The sign (``_face_sign``) of each face: a saddle's band faces, or every face."""
-    cube.edge_ids()
     return {f: _face_sign(cube, *f) for f in faces}
 
 
@@ -464,7 +457,6 @@ def _first_failing_face(cube: Cube, eps: dict):
     faces need no parity, since their d^2 is zero for any signs.
     """
     known = cube._face_sigma
-    cube.edge_ids()
     for face in cube.faces():
         key = cube.face_key(*face)
         sigma = known.get(key, 0)
@@ -509,7 +501,7 @@ def _canonical_signs(cube: Cube, sign, refusal: str) -> list:
     """The canonical coherent signs for face signs ``sign(alpha, c1, c2)``.
 
     One flat list, edge (alpha, c) at ``alpha * n + c`` as in
-    ``Cube.edge_ids``, from one walk down the cube; see
+    ``Cube._edge_ids``, from one walk down the cube; see
     ``solve_sign_assignment`` for why it is canonical.  Every vertex
     alpha but the top has a highest unresolved crossing h, and the tree
     edge (alpha, h) reads +1.  Any other unresolved c < h closes the
@@ -519,7 +511,6 @@ def _canonical_signs(cube: Cube, sign, refusal: str) -> list:
     is done, so each face's sign is read once.
     """
     n = cube.n
-    cube.edge_ids()
     eps = [0] * (n << n)
     full = (1 << n) - 1
     for alpha in range(full - 1, -1, -1):
@@ -624,8 +615,8 @@ def arrow_flipped_signs(cube: Cube, reversed_crossings) -> dict:
     theory's differential.
     """
     flip = set(reversed_crossings)
-    # The walk runs the edge checks on every edge before it reads a
-    # face or returns; a split is then an edge that adds a circle.
+    # The cube ran the edge checks on every edge when it was built, so
+    # a split is an edge that adds a circle.
     circles = [cube.resolution(alpha).n_circles for alpha in cube.vertices()]
     negated = {(a, c) for a, c in cube.edges() if c in flip and circles[a | 1 << c] > circles[a]}
 

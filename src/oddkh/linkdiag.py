@@ -500,7 +500,8 @@ def _cut_arcs(diagram: LinkDiagram, arcs, top: int):
     Returns (crossing rows, remaining free arcs, [(in, out), ...]), one
     label pair per arc.  A cut arc keeps its label on the tail half, and
     its head half takes the next label above ``top``.  A free circle is
-    opened whole and gives (arc, arc).
+    opened whole and gives (arc, arc).  An arc not in the diagram is
+    refused with ValueError.
     """
     rows = [list(c) for c in diagram.crossings]
     free = list(diagram.free_arcs)
@@ -510,7 +511,9 @@ def _cut_arcs(diagram: LinkDiagram, arcs, top: int):
             free.remove(arc)
             ends.append((arc, arc))
             continue
-        i = diagram._arc_pos[arc]
+        i = diagram._arc_pos.get(arc)
+        if i is None:
+            raise ValueError(f"unknown arc {arc}")
         if i in diagram._undirected:
             raise ValueError(f"arc {arc} has no direction")
         top += 1

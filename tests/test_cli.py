@@ -439,3 +439,31 @@ def test_movie_rejects_malformed_scripts(tmp_path, capsys, content):
     path.write_text(content)
     assert main(["movie", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "event",
+    [saddle_event(1, 99), r1_event(99), r2_event(1, 99)],
+    ids=["saddle", "r1-do", "r2-do"],
+)
+def test_movie_refuses_an_unknown_arc(tmp_path, capsys, event):
+    path = tmp_path / "movie.json"
+    path.write_text(json.dumps(script_to_dict(left_trefoil(), [event])))
+    assert main(["movie", str(path)]) == 1
+    assert "unknown arc 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["homology", "movie"])
+def test_cap_refuses_free_circles_before_parsing(tmp_path, capsys, monkeypatch, command):
+    # parse_pd would build one arc per free circle; it must not be reached.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("parse_pd ran")
+
+    monkeypatch.delenv("ODDKH_MAX_CROSSINGS", raising=False)
+    monkeypatch.setattr("oddkh.cli.parse_pd", unreachable)
+    monkeypatch.setattr(cobordism_module, "parse_pd", unreachable)
+    diagram = {"pd": [], "free_circles": 10**9}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(diagram if command == "homology" else {"initial": diagram, "events": []}))
+    assert main([command, str(path)]) == 1
+    assert "exceeds the cap" in capsys.readouterr().err

@@ -31,8 +31,8 @@ from oddkh import cube as cube_module
 from oddkh.cobordism import dot_cobordism_map, saddle_cobordism_map
 from oddkh.cube import build_cube, classify_face, enumerate_sign_assignments, solve_sign_assignment
 from oddkh.fixtures import braid_closure, rational_knot
-from oddkh.linalg import IntMatrix, smith_normal_form, solve_integer
-from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd
+from oddkh.linalg import IntMatrix, _sparse_rows, smith_normal_form, solve_integer
+from oddkh.linkdiag import LinkDiagram, add_free_circle, insert_kink, parse_pd
 from oddkh.verify import named_diagrams
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -247,10 +247,11 @@ def mutant_differentials(cube, mutation, eligible=lambda mask: True):
     return cx, diff
 
 
-def mutant_complex(cube, mutation):
-    cx, diff = mutant_differentials(cube, mutation)
+def hand_built_complex(cube):
+    """The assembled complex's runs and quantum degrees, handed to the constructor."""
+    cx = assemble_complex(cube)
     runs = {h: [(alpha, cube.space(alpha).k) for alpha, *_ in r] for h, r in cx._runs.items()}
-    return ChainComplex(cube, cx.signs, runs, dict(cx._qdeg), diff)
+    return ChainComplex(cube, cx.signs, runs, dict(cx._qdeg))
 
 
 def assert_index_inverts_basis(cx):
@@ -267,7 +268,7 @@ def test_index_inverts_basis_on_corpus(theory):
 
 def test_index_inverts_basis_on_hand_built_complexes():
     for code in (TREFOIL, FIG8, POKE):
-        assert_index_inverts_basis(mutant_complex(build_cube(parse_pd(code)), "offset"))
+        assert_index_inverts_basis(hand_built_complex(build_cube(parse_pd(code))))
 
 
 def test_vertices_of_one_circle_count_share_one_order():
@@ -351,6 +352,23 @@ def test_given_signs_other_than_one_are_refused(sign):
             assemble_complex(cube, eps)
 
 
+@pytest.mark.parametrize("change", ["missing", "extra", "float", "bool"])
+def test_given_signs_must_be_the_cube_edges_as_ints(change):
+    cube = build_cube(parse_pd(TREFOIL))
+    eps = solve_sign_assignment(cube)
+    if change == "missing":
+        del eps[0, 0]
+    elif change == "extra":
+        eps[0b111, 0] = 1
+    elif change == "float":
+        eps = {e: float(v) for e, v in eps.items()}
+    else:
+        eps = {e: True if v == 1 else v for e, v in eps.items()}
+    match = "exactly the cube's edges" if change in ("missing", "extra") else r"must be \+1 or -1"
+    with pytest.raises(ValueError, match=match):
+        assemble_complex(cube, eps)
+
+
 def test_homology_stage_peaks_under_100_bytes_per_generator():
     # Above the assembled complex, the homology stage holds one placed
     # block of the marked half at a time.
@@ -373,11 +391,14 @@ def test_homology_stage_peaks_under_100_bytes_per_generator():
 @pytest.mark.parametrize("mutation", ["offset", "mask", "sign", "drop"])
 @pytest.mark.parametrize("code", [TREFOIL, FIG8, POKE], ids=["trefoil", "fig8", "poke"])
 def test_validate_refuses_a_mutated_assembly(mutation, code):
+    # Each mutated d_h goes through the entry gate whole, one block.
     cube = build_cube(parse_pd(code))
-    mutant = mutant_complex(cube, mutation)
-    assert any(mutant.differential(h) != assemble_complex(cube).differential(h) for h in mutant.degrees())
+    cx, diff = mutant_differentials(cube, mutation)
+    assert any(d != cx.differential(h) for h, d in diff.items())
     with pytest.raises(AssertionError):
-        complexes_module._validate(mutant)
+        for h, d in diff.items():
+            src, dst = complexes_module._one_block(d.cols), complexes_module._one_block(d.rows)
+            complexes_module._check_entries(cx, h, src, dst, 0, _sparse_rows(d.transpose()))
 
 
 def marked_cut(cx, h, d, lay):
@@ -767,14 +788,18 @@ def test_homology_matches_snf_reference_on_random_diagrams(diagram, theory):
         assert reduce_coefficients(c, p) == universal_coefficients(reference.table, p), p
 
 
-def _reduced_table_marked_at(c, arc):
-    """Reduced homology with the circle through ``arc`` marked at every vertex."""
-    bits = {}
-    for alpha in c.cube.vertices():
-        r = c.cube.resolution(alpha)
-        bits[alpha] = c.cube.space(alpha).pos[r.circle_key(r.arc_circle(arc))]
-    table = complexes_module._table(*complexes_module._marked_half(c, bits))
-    return {(h, q + 1): group for (h, q), group in table.items()}
+def _reduced_table_marked_at(diagram, arc, theory):
+    """Reduced homology with the circle through ``arc`` marked.
+
+    The labels of ``arc`` and the smallest arc swap, so that ``arc``
+    becomes the smallest, which reduced homology marks; relabelling
+    moves no crossing.
+    """
+    first = min(diagram.arcs)
+    swap = {arc: first, first: arc}
+    rows = [[swap.get(a, a) for a in row] for row in diagram.crossings]
+    relabelled = LinkDiagram(rows, [swap.get(a, a) for a in diagram.free_arcs], diagram.signs)
+    return homology(assemble_complex(build_cube(relabelled, theory)), reduced=True).table
 
 
 @pytest.mark.parametrize("theory", ["x", "y"])
@@ -784,10 +809,9 @@ def test_reduced_homology_does_not_depend_on_the_marked_arc(theory):
         if len(diagram.components) != 1:
             continue
         knots += 1
-        c = assemble_complex(build_cube(diagram, theory))
-        reduced = homology(c, reduced=True).table
+        reduced = homology(assemble_complex(build_cube(diagram, theory)), reduced=True).table
         for arc in diagram.arcs:
-            assert _reduced_table_marked_at(c, arc) == reduced, (name, arc)
+            assert _reduced_table_marked_at(diagram, arc, theory) == reduced, (name, arc)
     assert knots > 10
 
 

@@ -17,7 +17,7 @@ from oddkh.cube import (
 from oddkh.complexes import assemble_complex
 from oddkh.fixtures import braid_closure, hopf_link, prime_knot, rational_knot
 from oddkh.linalg import solve_gf2
-from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd
+from oddkh.linkdiag import add_free_circle, insert_kink, parse_pd, resolve
 from oddkh.oddtqft import compose, merge_map, split_map
 from oddkh.verify import named_diagrams
 
@@ -71,9 +71,34 @@ def test_edge_kinds_follow_circle_counts():
 
 def test_edges_refuse_a_resolved_crossing():
     cube = build_cube(parse_pd(TREFOIL))
-    for read in (cube.edge, cube.edge_shape):
+    for read in (cube.edge, cube.edge_shape, cube.edge_table):
         with pytest.raises(ValueError, match="already resolved"):
             read(0b010, 1)
+
+
+def test_reads_outside_the_cube_are_refused():
+    # The readers are flat-list reads, so a bad index must not wrap
+    # round to another vertex's or edge's entry.
+    cube = build_cube(parse_pd(TREFOIL))
+    n = cube.n
+    for alpha, c in ((0, n), (0, -1), (-1, 0), (1 << n, 0)):
+        with pytest.raises(ValueError, match="not in the cube"):
+            cube.edge_table(alpha, c)
+    for alpha in (-1, 1 << n):
+        with pytest.raises(ValueError, match="not in the cube"):
+            cube.resolution(alpha)
+
+
+@pytest.mark.parametrize("theory", ["x", "y"])
+def test_cube_is_resolved_and_shaped_when_built(theory):
+    for name, diagram in named_diagrams(6):
+        cube = build_cube(diagram, theory)
+        n, ids = cube.n, cube._edge_ids
+        assert [(alpha, c) for alpha in cube.vertices() for c in range(n) if ids[alpha * n + c] >= 0] == list(cube.edges()), name
+        assert all(i < len(cube._tables) for i in ids), name
+        assert len(cube._resolutions) == 1 << n, name
+        for alpha in cube.vertices():
+            assert cube.resolution(alpha).keys == resolve(diagram, alpha).keys, (name, alpha)
 
 
 def test_edge_map_matches_streamed_terms():
@@ -195,7 +220,7 @@ def test_solver_refuses_a_face_classified_against_its_key(monkeypatch):
 def test_table_gate_reads_the_second_edge_of_each_shape(theory):
     for name, diagram in named_diagrams(6):
         cube = build_cube(diagram, theory)
-        ids = cube.edge_ids()
+        ids = cube._edge_ids
         seen = {}
         for alpha, c in cube.edges():
             seen.setdefault(ids[alpha * cube.n + c], []).append((alpha, c))
@@ -208,7 +233,6 @@ def test_table_gate_refuses_a_shape_key_that_does_not_fix_its_table():
     # shape as its second edge: the table built from the first edge is
     # not that edge's merge map.
     cube = build_cube(prime_knot("8_19"))
-    cube.edge_ids()
     merges = [i for i, sites in enumerate(cube._sites) if cube.edge(*sites[0]).kind == "merge"]
     i, j = next(
         (i, j) for i in merges for j in merges
